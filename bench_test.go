@@ -17,6 +17,7 @@ package tmcheck_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/automata"
@@ -35,7 +36,7 @@ import (
 func BenchmarkTable1Runs(b *testing.B) {
 	systems := make([]*explore.TS, len(explore.Table1Scenarios))
 	for i, sc := range explore.Table1Scenarios {
-		systems[i] = explore.Build(sc.Alg(), nil)
+		systems[i] = explore.BuildWorkers(sc.Alg(), nil, runtime.GOMAXPROCS(0))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,7 +62,7 @@ func BenchmarkTable2Build(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ts := explore.Build(sys.Alg, sys.CM)
+				ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 				if ts.NumStates() == 0 {
 					b.Fatal("empty system")
 				}
@@ -72,11 +73,11 @@ func BenchmarkTable2Build(b *testing.B) {
 
 func BenchmarkTable2Inclusion(b *testing.B) {
 	dfas := map[spec.Property]*automata.DFA{
-		spec.StrictSerializability: spec.NewDet(spec.StrictSerializability, 2, 2).Enumerate(),
-		spec.Opacity:               spec.NewDet(spec.Opacity, 2, 2).Enumerate(),
+		spec.StrictSerializability: spec.NewDet(spec.StrictSerializability, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0)),
+		spec.Opacity:               spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0)),
 	}
 	for _, sys := range table2Systems() {
-		ts := explore.Build(sys.Alg, sys.CM)
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
 			prop := prop
 			suffix := "ss"
@@ -97,7 +98,7 @@ func BenchmarkTable2Inclusion(b *testing.B) {
 
 func BenchmarkTable2EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := safety.Table2(table2Systems())
+		rows := safety.Table2(table2Systems(), safety.Options{Engine: safety.EngineMaterialized})
 		if len(rows) != 5 {
 			b.Fatal("wrong row count")
 		}
@@ -147,7 +148,7 @@ func BenchmarkEngines(b *testing.B) {
 
 func BenchmarkTable3Liveness(b *testing.B) {
 	for _, sys := range liveness.PaperSystems(2, 1) {
-		ts := explore.Build(sys.Alg, sys.CM)
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		b.Run(ts.Name()+"/obstruction", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				liveness.CheckObstructionFreedom(ts)
@@ -220,22 +221,22 @@ func BenchmarkLivenessEngines(b *testing.B) {
 func BenchmarkSpecEnumerate(b *testing.B) {
 	b.Run("nondet/ss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spec.NewNondet(spec.StrictSerializability, 2, 2).Enumerate()
+			spec.NewNondet(spec.StrictSerializability, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		}
 	})
 	b.Run("nondet/op", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spec.NewNondet(spec.Opacity, 2, 2).Enumerate()
+			spec.NewNondet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		}
 	})
 	b.Run("det/ss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spec.NewDet(spec.StrictSerializability, 2, 2).Enumerate()
+			spec.NewDet(spec.StrictSerializability, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		}
 	})
 	b.Run("det/op", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spec.NewDet(spec.Opacity, 2, 2).Enumerate()
+			spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		}
 	})
 }
@@ -247,8 +248,8 @@ func BenchmarkSpecEquivalence(b *testing.B) {
 		if prop == spec.Opacity {
 			name = "op"
 		}
-		nd := spec.NewNondet(prop, 2, 2).Enumerate()
-		dt := spec.NewDet(prop, 2, 2).Enumerate()
+		nd := spec.NewNondet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+		dt := spec.NewDet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				equal, _, _ := automata.EquivalentNFADFA(nd, dt)
@@ -261,7 +262,7 @@ func BenchmarkSpecEquivalence(b *testing.B) {
 }
 
 func BenchmarkSpecMinimize(b *testing.B) {
-	dt := spec.NewDet(spec.Opacity, 2, 2).Enumerate()
+	dt := spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dt.Minimize()
@@ -312,9 +313,9 @@ func BenchmarkSpecMembership(b *testing.B) {
 // pipeline (linear product) against direct antichain inclusion in the
 // nondeterministic specification, on DSTM/opacity.
 func BenchmarkAntichainVsDeterministic(b *testing.B) {
-	ts := explore.Build(tm.NewDSTM(2, 2), nil)
-	dfa := spec.NewDet(spec.Opacity, 2, 2).Enumerate()
-	nfa := spec.NewNondet(spec.Opacity, 2, 2).Enumerate()
+	ts := explore.BuildWorkers(tm.NewDSTM(2, 2), nil, runtime.GOMAXPROCS(0))
+	dfa := spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+	nfa := spec.NewNondet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 	tmNFA := ts.NFA()
 	b.Run("deterministic-product", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -373,8 +374,8 @@ func BenchmarkScaling(b *testing.B) {
 				b.Skip("skipping expensive (2,3) instance in -short mode")
 			}
 			for i := 0; i < b.N; i++ {
-				ts := explore.Build(tm.NewDSTM(n, k), nil)
-				dfa := spec.NewDet(spec.Opacity, n, k).Enumerate()
+				ts := explore.BuildWorkers(tm.NewDSTM(n, k), nil, runtime.GOMAXPROCS(0))
+				dfa := spec.NewDet(spec.Opacity, n, k).EnumerateWorkers(runtime.GOMAXPROCS(0))
 				res := safety.CheckAgainstDFA(ts, spec.Opacity, dfa)
 				if !res.Holds {
 					b.Fatalf("dstm unsafe at (%d,%d)?", n, k)
@@ -393,9 +394,9 @@ func benchName(n, k int) string {
 // BenchmarkExtensionTMs times the opacity check for the two extension TMs
 // (NOrec, encounter-time locking).
 func BenchmarkExtensionTMs(b *testing.B) {
-	dfa := spec.NewDet(spec.Opacity, 2, 2).Enumerate()
+	dfa := spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 	for _, alg := range []tm.Algorithm{tm.NewNOrec(2, 2), tm.NewETL(2, 2)} {
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		b.Run(alg.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := safety.CheckAgainstDFA(ts, spec.Opacity, dfa)
@@ -409,7 +410,7 @@ func BenchmarkExtensionTMs(b *testing.B) {
 
 // BenchmarkStreettVsLoopSearch compares the two liveness backends.
 func BenchmarkStreettVsLoopSearch(b *testing.B) {
-	ts := explore.Build(tm.NewDSTM(2, 2), tm.Aggressive{})
+	ts := explore.BuildWorkers(tm.NewDSTM(2, 2), tm.Aggressive{}, runtime.GOMAXPROCS(0))
 	b.Run("loop-search", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			liveness.CheckLivelockFreedom(ts)
@@ -477,7 +478,7 @@ func BenchmarkWitness(b *testing.B) {
 // BenchmarkCountWords measures the permissiveness DP on the opacity
 // specification.
 func BenchmarkCountWords(b *testing.B) {
-	dfa := spec.NewDet(spec.Opacity, 2, 2).Enumerate()
+	dfa := spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		automata.CountWords(dfa, 12)

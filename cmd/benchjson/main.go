@@ -68,7 +68,7 @@ type entry struct {
 
 func main() {
 	out := flag.String("o", "", "output file (default: next free BENCH_<n>.json)")
-	workers := flag.Int("workers", 0, "parallel-engine workers (default GOMAXPROCS)")
+	workersFlag := flag.Int("workers", 0, "parallel-engine workers (default GOMAXPROCS)")
 	full := flag.Bool("full", false, "include the expensive (2,3) scaling instance")
 	note := flag.String("note", "", "free-form annotation recorded in the file")
 	diffMode := flag.Bool("diff", false, "compare two recorded files: benchjson -diff OLD.json NEW.json")
@@ -89,9 +89,7 @@ func main() {
 		os.Exit(code)
 	}
 
-	if *workers > 0 {
-		parbfs.SetWorkers(*workers)
-	}
+	workers := parbfs.ResolveWorkers(*workersFlag)
 	rep := report{
 		Schema:     benchSchema,
 		Note:       *note,
@@ -100,9 +98,9 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    parbfs.Workers(),
+		Workers:    workers,
 	}
-	for _, bm := range benchmarks(*full) {
+	for _, bm := range benchmarks(*full, workers) {
 		fmt.Fprintf(os.Stderr, "running %s...\n", bm.name)
 		r := testing.Benchmark(bm.fn)
 		rep.Benchmarks = append(rep.Benchmarks, entry{
@@ -152,8 +150,9 @@ type namedBench struct {
 }
 
 // benchmarks mirrors the bench_test.go workloads that track the
-// checker's end-to-end performance.
-func benchmarks(full bool) []namedBench {
+// checker's end-to-end performance; workers is the -workers count the
+// builds, enumerations and Table 2 driver run with.
+func benchmarks(full bool, workers int) []namedBench {
 	var bms []namedBench
 	for _, sys := range safety.PaperSystems(2, 2) {
 		sys := sys
@@ -165,7 +164,7 @@ func benchmarks(full bool) []namedBench {
 			name: "Table2Build/" + name,
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ts := explore.Build(sys.Alg, sys.CM)
+					ts := explore.BuildWorkers(sys.Alg, sys.CM, workers)
 					if ts.NumStates() == 0 {
 						b.Fatal("empty system")
 					}
@@ -177,7 +176,7 @@ func benchmarks(full bool) []namedBench {
 		name: "Table2EndToEnd",
 		fn: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows := safety.Table2(safety.PaperSystems(2, 2))
+				rows := safety.Table2(safety.PaperSystems(2, 2), safety.Options{Workers: workers, Engine: safety.EngineMaterialized})
 				if len(rows) != 5 {
 					b.Fatal("wrong row count")
 				}
@@ -259,8 +258,8 @@ func benchmarks(full bool) []namedBench {
 			name: fmt.Sprintf("Scaling/dstm-%dt%dv", n, k),
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ts := explore.Build(tm.NewDSTM(n, k), nil)
-					dfa := spec.NewDet(spec.Opacity, n, k).Enumerate()
+					ts := explore.BuildWorkers(tm.NewDSTM(n, k), nil, workers)
+					dfa := spec.NewDet(spec.Opacity, n, k).EnumerateWorkers(workers)
 					res := safety.CheckAgainstDFA(ts, spec.Opacity, dfa)
 					if !res.Holds {
 						b.Fatalf("dstm unsafe at (%d,%d)?", n, k)

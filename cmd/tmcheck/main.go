@@ -47,11 +47,15 @@
 // -maxstates bounds the total number of states any check constructs
 // (TM states + spec states + product pairs); a check that would exceed
 // the budget aborts with a budget error instead of exhausting memory.
-// The budget is genuinely global: safety, liveness, table2, table3 and
-// all honor it in both engines. -timeout and -maxmem bound wall-clock
-// and heap the same way, and Ctrl-C (SIGINT/SIGTERM) cancels in-flight
-// checks at the same polling points, so a stopped check reports the
-// states it reached deterministically.
+// Every subcommand that explores a TM honors it: safety, liveness,
+// table2, table3 and all in both engines, plus the builds of table1,
+// count and dot. -maxmem bounds the heap the same way. -workers,
+// -maxstates and -maxmem travel as explicit values: into the job spec
+// for the verification commands (locally and with -remote) and into
+// the guard of every other build. -timeout bounds the whole command,
+// and Ctrl-C (SIGINT/SIGTERM) cancels in-flight checks at the same
+// polling points, so a stopped check reports the states it reached
+// deterministically.
 //
 // The table drivers (table2, table3, all) keep going when a row hits a
 // limit: the stopped cell renders as LIMIT(states|time|mem|cancelled|
@@ -103,7 +107,6 @@ import (
 	"tmcheck/internal/parbfs"
 	"tmcheck/internal/runtime"
 	"tmcheck/internal/safety"
-	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 	"tmcheck/internal/wire"
@@ -116,12 +119,14 @@ var (
 	strictLimits bool
 )
 
-// buildBudgeted materializes one system at the process-wide worker
-// count under ctx plus the process-wide -maxstates/-maxmem limits, so
-// every subcommand that builds a full transition system is guarded the
-// same way.
+// workers resolves the -workers flag: GOMAXPROCS when unset.
+func workers() int { return parbfs.ResolveWorkers(gflags.Workers) }
+
+// buildBudgeted materializes one system at the -workers count under
+// ctx plus the -maxstates/-maxmem limits, so every subcommand that
+// builds a full transition system is guarded the same way.
 func buildBudgeted(ctx context.Context, alg tm.Algorithm, cm tm.ContentionManager) (*explore.TS, error) {
-	return explore.BuildGuarded(alg, cm, parbfs.Workers(), guard.Process(ctx, space.MaxStates()))
+	return explore.BuildGuarded(alg, cm, workers(), guard.New(ctx, gflags.MaxStates, gflags.MaxMem), nil)
 }
 
 // limitSummary finishes a keep-going table run: limited checks get a
@@ -142,6 +147,9 @@ func limitSummary(limits []*guard.LimitError) error {
 // the tmcheckd named by -remote. Both paths render the same Result the
 // same way, so the output bytes match up to wall-clock timings.
 func runJob(ctx context.Context, sp job.Spec) error {
+	sp.Workers = gflags.Workers
+	sp.MaxStates = gflags.MaxStates
+	sp.MaxMem = gflags.MaxMem
 	sp.Checkpoint = gflags.Checkpoint
 	sp.Resume = gflags.Resume
 	sp.Spill = gflags.Spill
@@ -172,14 +180,11 @@ func runJob(ctx context.Context, sp job.Spec) error {
 // tripping -heartbeat-timeout) reconnects with capped exponential
 // backoff up to -retries attempts, and with -checkpoint set the
 // resubmission resumes from the snapshot the daemon already persisted.
-// The budget flags ride in the spec (the local Install is irrelevant
-// remotely), and streamed progress frames are re-emitted onto the
-// local bus so -progress and -trace work unchanged.
+// The budget flags ride in the spec — -timeout too, since the daemon
+// cannot see this command's context — and streamed progress frames are
+// re-emitted onto the local bus so -progress and -trace work unchanged.
 func runRemote(ctx context.Context, sp job.Spec) (*job.Result, error) {
-	sp.Workers = gflags.Workers
-	sp.MaxStates = gflags.MaxStates
 	sp.Timeout = gflags.Timeout
-	sp.MaxMem = gflags.MaxMem
 	var onProgress func(wire.Progress)
 	if obs.EventsEnabled() {
 		onProgress = func(p wire.Progress) {
@@ -223,7 +228,7 @@ func main() {
 		os.Exit(2)
 	}
 	cmd, args := rest[0], rest[1:]
-	gflags.Install()
+	gflags.InstallChaos()
 	if err := gflags.Begin(cmd); err != nil {
 		fmt.Fprintln(os.Stderr, "tmcheck:", err)
 		os.Exit(1)
@@ -447,8 +452,8 @@ func runSpecs(args []string) error {
 	}
 	fmt.Printf("TM specifications for %d threads and %d variables (§5.3)\n", *n, *k)
 	for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-		nd := spec.NewNondet(prop, *n, *k).Enumerate()
-		dt := spec.NewDet(prop, *n, *k).Enumerate()
+		nd := spec.NewNondet(prop, *n, *k).EnumerateWorkers(workers())
+		dt := spec.NewDet(prop, *n, *k).EnumerateWorkers(workers())
 		min := dt.Minimize()
 		fmt.Printf("%-24s nondet %6d states, det %6d states, minimal %6d states\n",
 			prop.String()+":", nd.NumStates(), dt.NumStates(), min.NumStates())
@@ -568,8 +573,8 @@ func runCount(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ssCounts := automata.CountWords(spec.NewDet(spec.StrictSerializability, *n, *k).Enumerate(), *maxLen)
-	opCounts := automata.CountWords(spec.NewDet(spec.Opacity, *n, *k).Enumerate(), *maxLen)
+	ssCounts := automata.CountWords(spec.NewDet(spec.StrictSerializability, *n, *k).EnumerateWorkers(workers()), *maxLen)
+	opCounts := automata.CountWords(spec.NewDet(spec.Opacity, *n, *k).EnumerateWorkers(workers()), *maxLen)
 
 	type row struct {
 		name   string
@@ -701,7 +706,7 @@ func runMethodology(args []string) error {
 	if _, err := tm.NewAlgorithm(name, 2, 2); err != nil {
 		return err
 	}
-	rep := safety.VerifyViaReduction(name, factory, *seed)
+	rep := safety.VerifyViaReduction(name, factory, *seed, workers())
 	fmt.Print(rep)
 	return nil
 }

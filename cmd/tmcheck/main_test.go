@@ -330,9 +330,8 @@ func TestExtractGlobalFlags(t *testing.T) {
 // -maxstates both engines abort the safety command with a budget error
 // naming the budget.
 func TestMaxStatesBudgetCLI(t *testing.T) {
-	old := space.MaxStates()
-	space.SetMaxStates(100)
-	defer space.SetMaxStates(old)
+	defer func(old job.Flags) { gflags = old }(gflags)
+	gflags.MaxStates = 100
 	for _, engine := range []string{"onthefly", "materialized"} {
 		err := runSafety(bgCtx, []string{"-tm", "dstm", "-prop", "op", "-engine", engine})
 		if !errors.Is(err, space.ErrBudgetExceeded) {
@@ -347,9 +346,8 @@ func TestMaxStatesBudgetCLI(t *testing.T) {
 // table3 driver keeps going — limited rows render as LIMIT(states), the
 // command exits clean by default and fails only under -strict-limits.
 func TestMaxStatesBudgetLivenessCLI(t *testing.T) {
-	old := space.MaxStates()
-	space.SetMaxStates(50)
-	defer space.SetMaxStates(old)
+	defer func(old job.Flags) { gflags = old }(gflags)
+	gflags.MaxStates = 50
 	for _, engine := range []string{"onthefly", "materialized"} {
 		err := runLiveness(bgCtx, []string{"-tm", "dstm", "-cm", "aggressive", "-engine", engine})
 		if !errors.Is(err, space.ErrBudgetExceeded) {
@@ -388,9 +386,8 @@ func TestMaxStatesBudgetLivenessCLI(t *testing.T) {
 // larger systems: limited cells render as LIMIT(states), the small
 // systems still get verdicts, and -strict-limits flips the exit.
 func TestTable2KeepGoingCLI(t *testing.T) {
-	old := space.MaxStates()
-	space.SetMaxStates(200)
-	defer space.SetMaxStates(old)
+	defer func(old job.Flags) { gflags = old }(gflags)
+	gflags.MaxStates = 200
 	for _, engine := range []string{"onthefly", "materialized"} {
 		out, err := captureStdoutErr(t, func() error {
 			return runTable2(bgCtx, []string{"-engine", engine})

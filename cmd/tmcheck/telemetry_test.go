@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 )
 
 // durRE matches the wall-clock durations the drivers print ("160µs",
@@ -113,10 +112,9 @@ func TestTelemetryEquivalence(t *testing.T) {
 		{"table2-onthefly", "table2", nil},
 		{"liveness-dstm-aggressive", "liveness", []string{"-tm", "dstm", "-cm", "aggressive"}},
 	}
-	oldWorkers := parbfs.Workers()
-	defer parbfs.SetWorkers(oldWorkers)
+	defer func(old int) { gflags.Workers = old }(gflags.Workers)
 	for _, workers := range []int{1, 4} {
-		parbfs.SetWorkers(workers)
+		gflags.Workers = workers
 		for _, tc := range cases {
 			quietOut, quietCounters, quietGauges := runQuiet(t, tc.command, tc.args)
 			loudOut, loudCounters, loudGauges := runLoud(t, tc.command, tc.args)

@@ -16,7 +16,7 @@
 //
 // -timeout bounds the campaign's wall-clock and -maxstates the total
 // number of automaton states the specification runs visit across all
-// words (a cumulative campaign budget, not tmcheck's per-check knob);
+// words (a cumulative campaign budget, not tmcheck's per-check one);
 // -maxmem caps the heap the same way as tmcheck. Ctrl-C, an expired
 // timeout, or an exhausted budget stop the campaign gracefully after
 // the current word, printing the progress report and a "campaign
@@ -72,11 +72,9 @@ func main() {
 	gf.Register(flag.CommandLine)
 	flag.Parse()
 	cfg.every = 50000
-	// No Install (the budgets go into the campaign's own guard), so the
-	// fault plan is installed explicitly.
 	gf.InstallChaos()
-	// The budgets go into the campaign's own guard, not the process-wide
-	// knobs (no Install): -maxstates here is cumulative across words.
+	// The budgets go into the campaign's own guard: -maxstates here is
+	// cumulative across words.
 	cfg.maxStates = gf.MaxStates
 	cfg.maxMem = gf.MaxMem
 	cfg.timeout = gf.Timeout

@@ -16,6 +16,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 
 	"tmcheck/internal/core"
 	"tmcheck/internal/explore"
@@ -107,14 +108,17 @@ func main() {
 	for _, alg := range []tm.Algorithm{good, bad} {
 		fmt.Printf("=== %s ===\n", alg.Name())
 		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			res := safety.Verify(alg, nil, prop)
+			res, err := safety.VerifyOpts(alg, nil, prop, safety.Options{})
+			if err != nil {
+				panic(err)
+			}
 			if res.Holds {
 				fmt.Printf("%-24s HOLDS (%d TM states, %v)\n", prop.String()+":", res.TMStates, res.Elapsed)
 			} else {
 				fmt.Printf("%-24s FAILS: %s\n", prop.String()+":", res.Counterexample)
 			}
 		}
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		of := liveness.CheckObstructionFreedom(ts)
 		if of.Holds {
 			fmt.Println("obstruction freedom:     HOLDS")
@@ -128,6 +132,6 @@ func main() {
 	// structural-property sampling at three instance sizes, which is what
 	// licenses the "all programs" conclusion.
 	rep := safety.VerifyViaReduction("globallock",
-		func(n, k int) tm.Algorithm { return &GlobalLockTM{n: n, k: k} }, 7)
+		func(n, k int) tm.Algorithm { return &GlobalLockTM{n: n, k: k} }, 7, runtime.GOMAXPROCS(0))
 	fmt.Print(rep)
 }

@@ -10,7 +10,7 @@
 // liveness reduction theorem — and prints the verdict matrix with
 // counterexample loops.
 //
-// It runs on the on-the-fly engine: liveness.CheckAllOnTheFly resolves
+// It runs on the on-the-fly engine: liveness.CheckAllOnTheFlyOpts resolves
 // all three properties over one lazy exploration, stopping each failing
 // property at its first violating lasso instead of materializing the
 // full transition system (the same verdicts and loops as the
@@ -43,7 +43,7 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			row, err := liveness.CheckAllOnTheFly(alg, cm)
+			row, err := liveness.CheckAllOnTheFlyOpts(alg, cm, liveness.Options{})
 			if err != nil {
 				panic(err)
 			}

@@ -22,7 +22,10 @@ import (
 func main() {
 	// Verify DSTM — ownership stealing, commit-time validation — against
 	// opacity.
-	res := safety.Verify(tm.NewDSTM(2, 2), nil, spec.Opacity)
+	res, err := safety.VerifyOpts(tm.NewDSTM(2, 2), nil, spec.Opacity, safety.Options{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("%s: %d TM states checked against %d specification states\n",
 		res.System, res.TMStates, res.SpecStates)
 	if res.Holds {
@@ -34,12 +37,18 @@ func main() {
 	// Safety without a contention manager implies safety with every
 	// manager, but managers can be checked directly too.
 	for _, cm := range []tm.ContentionManager{tm.Aggressive{}, tm.Polite{}} {
-		res := safety.Verify(tm.NewDSTM(2, 2), cm, spec.Opacity)
+		res, err := safety.VerifyOpts(tm.NewDSTM(2, 2), cm, spec.Opacity, safety.Options{})
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%s: opacity holds = %v\n", res.System, res.Holds)
 	}
 
 	// A broken TM produces a counterexample trace instead.
-	bad := safety.Verify(tm.NewTwoPLNoReadLock(2, 2), nil, spec.StrictSerializability)
+	bad, err := safety.VerifyOpts(tm.NewTwoPLNoReadLock(2, 2), nil, spec.StrictSerializability, safety.Options{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\n%s: strict serializability holds = %v\n", bad.System, bad.Holds)
 	if !bad.Holds {
 		fmt.Printf("counterexample: %s\n", bad.Counterexample)

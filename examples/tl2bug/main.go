@@ -20,6 +20,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 
 	"tmcheck/internal/core"
 	"tmcheck/internal/explore"
@@ -29,8 +30,9 @@ import (
 )
 
 func main() {
-	modTS := explore.Build(tm.NewTL2Mod(2, 2), tm.Polite{})
-	res := safety.Check(modTS, spec.StrictSerializability)
+	workers := runtime.GOMAXPROCS(0)
+	modTS := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, workers)
+	res := safety.Check(modTS, spec.StrictSerializability, workers)
 	fmt.Printf("modified TL2 + polite: %d states\n", res.TMStates)
 	if res.Holds {
 		fmt.Println("unexpectedly safe — the bug did not reproduce")
@@ -72,8 +74,8 @@ func main() {
 		commits, core.IsStrictlySerializable(word))
 
 	// The unmodified TL2 — atomic validate — cannot emit this word.
-	tl2TS := explore.Build(tm.NewTL2(2, 2), tm.Polite{})
+	tl2TS := explore.BuildWorkers(tm.NewTL2(2, 2), tm.Polite{}, workers)
 	fmt.Printf("unmodified TL2 accepts the word: %v\n", tl2TS.InLanguage(word))
-	safe := safety.Check(tl2TS, spec.Opacity)
+	safe := safety.Check(tl2TS, spec.Opacity, workers)
 	fmt.Printf("unmodified TL2 + polite ensures opacity: %v\n", safe.Holds)
 }

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestWriteDOT(t *testing.T) {
-	ts := Build(tm.NewSeq(2, 1), nil)
+	ts := BuildWorkers(tm.NewSeq(2, 1), nil, runtime.GOMAXPROCS(0))
 	var b strings.Builder
 	if err := ts.WriteDOT(&b); err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func TestWriteDOT(t *testing.T) {
 }
 
 func TestWriteDOTInternalEdgesDashed(t *testing.T) {
-	ts := Build(tm.NewTwoPL(2, 1), nil)
+	ts := BuildWorkers(tm.NewTwoPL(2, 1), nil, runtime.GOMAXPROCS(0))
 	var b strings.Builder
 	if err := ts.WriteDOT(&b); err != nil {
 		t.Fatal(err)

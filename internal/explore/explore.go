@@ -140,59 +140,59 @@ func (ts *TS) NumEdges() int {
 	return n
 }
 
-// Build explores the TM algorithm applied to the most general program on
-// the algorithm's own thread and variable bounds, with the process-wide
-// worker count (the -workers flag of cmd/tmcheck; GOMAXPROCS by
-// default). cm may be nil.
+// BuildWorkers explores the TM algorithm applied to the most general
+// program on the algorithm's own thread and variable bounds; cm may be
+// nil. One worker runs the plain sequential exploration; more run the
+// level-synchronized parallel engine of internal/parbfs. The resulting
+// transition system — state numbering, edge order, and every downstream
+// verdict — is bit-identical for every worker count (see the parbfs
+// package comment for the argument; TestEngineEquivalence checks it on
+// the registry).
 //
 // The exploration records its vitals into the obs registry under
 // "explore.<system>.*": reachable states, edges, ε-steps (pending ⊥
 // responses), abort transitions, BFS frontier shape, intern-table
 // collisions, and the build wall-clock (from which states/sec follows).
-func Build(alg tm.Algorithm, cm tm.ContentionManager) *TS {
-	return BuildWorkers(alg, cm, parbfs.Workers())
-}
-
-// BuildWorkers is Build with an explicit worker count. One worker runs
-// the plain sequential exploration; more run the level-synchronized
-// parallel engine of internal/parbfs. The resulting transition system —
-// state numbering, edge order, and every downstream verdict — is
-// bit-identical for every worker count (see the parbfs package comment
-// for the argument; TestEngineEquivalence checks it on the registry).
+//
+// BuildWorkers is unguarded: a panicking TM algorithm panics through.
+// Callers that need limits or panic isolation use BuildGuarded.
 func BuildWorkers(alg tm.Algorithm, cm tm.ContentionManager, workers int) *TS {
-	ts, err := BuildBudget(alg, cm, workers, 0) // unbounded: only a TM panic can fail it
+	ts, err := BuildGuarded(alg, cm, workers, nil, nil) // unbounded: only a TM panic can fail it
 	if err != nil {
-		// Preserve the historical contract of the unbudgeted builder —
-		// a panicking TM algorithm panics through — instead of
-		// returning a nil system. Guarded callers use BuildBudget or
-		// BuildGuarded and receive the error.
 		panic(err)
 	}
 	return ts
 }
 
-// BuildBudget is BuildWorkers with a state budget: when maxStates > 0
-// and the reachable system has more states, the exploration stops with
-// a *space.BudgetError instead of materializing it (the parallel engine
-// checks at level barriers, so it may overshoot by one BFS level).
-// maxStates <= 0 means unbounded.
-func BuildBudget(alg tm.Algorithm, cm tm.ContentionManager, workers, maxStates int) (*TS, error) {
-	return BuildGuarded(alg, cm, workers, guard.New(nil, maxStates, 0))
-}
-
-// BuildGuarded is the fully guarded builder: the exploration honors
-// the guard's context (deadline and cancellation), state budget, and
-// heap watchdog — consulted per state by the sequential scan and at
-// level barriers by the parallel engine — and a panic in the TM
-// algorithm is isolated into a *guard.LimitError instead of crashing.
-func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard) (*TS, error) {
+// BuildGuarded is the guarded builder: the exploration honors the
+// guard's context (deadline and cancellation), state budget, and heap
+// watchdog — consulted per state by the sequential scan and at level
+// barriers by the parallel engine, which may therefore overshoot the
+// budget by one BFS level — and a panic in the TM algorithm is
+// isolated into a *guard.LimitError instead of crashing. A nil guard
+// sets no limits.
+//
+// A non-nil prov supplies the persistence hooks for this system: the
+// scan seeds from Persist.Resume, streams level deltas into
+// Persist.Sink, and allocates its flat key storage through the spill
+// growers. The resulting system — numbering, adjacency, verdicts — is
+// bit-identical to an uninterrupted unpersisted build; TS.Resumed
+// reports how many states came from the snapshot.
+func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, prov PersistProvider) (*TS, error) {
+	var p *Persist
+	if prov != nil {
+		var err error
+		if p, err = prov(alg, cm); err != nil {
+			return nil, err
+		}
+	}
 	start := time.Now()
 	ts := &TS{Alg: alg, CM: cm, Alphabet: core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}}
-	out, states, pstats, err := scanControlled(alg, cm, workers, g, nil)
+	out, states, pstats, resumed, err := scan(alg, cm, workers, g, nil, p)
 	if err != nil {
 		return nil, err
 	}
-	ts.Out, ts.states = out, states
+	ts.Out, ts.states, ts.Resumed = out, states, resumed
 	ts.record(start, workers, pstats)
 	return ts, nil
 }
@@ -218,45 +218,30 @@ type Barrier func(out [][]Edge, interned, expanded int) error
 // ScanLevels lazily unfolds the TM×CM product in canonical scan order,
 // calling barrier at every BFS level boundary, without materializing a
 // TS. The on-the-fly liveness engine drives its lasso probes from this.
-// A positive maxStates bounds the states interned, failing with a
-// *space.BudgetError; the sequential scan trips it exactly, the
-// parallel one at level barriers (budget is checked before the barrier
-// hook runs, so a blown budget is reported in preference to whatever
-// the hook would have found at that boundary).
-func ScanLevels(alg tm.Algorithm, cm tm.ContentionManager, workers, maxStates int, barrier Barrier) error {
-	return ScanLevelsGuarded(alg, cm, workers, guard.New(nil, maxStates, 0), barrier)
-}
-
-// ScanLevelsGuarded is ScanLevels under a full resource guard: the
-// context, state budget, and heap watchdog are all consulted at the
-// points the budget alone used to be — per state in the sequential
-// scan and at level barriers in the parallel engine, always before the
-// barrier hook at the same boundary — so a cancelled or timed-out scan
-// still observes a prefix of the identical canonical barrier sequence
-// at every worker count.
-func ScanLevelsGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier) error {
-	_, _, _, err := scanControlled(alg, cm, workers, g, barrier)
+// The guard's context, state budget, and heap watchdog are consulted
+// per state in the sequential scan and at level barriers in the
+// parallel engine, always before the barrier hook at the same boundary
+// — so a blown budget is reported in preference to whatever the hook
+// would have found there, and a cancelled or timed-out scan still
+// observes a prefix of the identical canonical barrier sequence at
+// every worker count.
+func ScanLevels(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier) error {
+	_, _, _, _, err := scan(alg, cm, workers, g, barrier, nil)
 	return err
 }
 
-// scanControlled is the exploration engine under BuildGuarded and
-// ScanLevelsGuarded: scan-order BFS to the fixpoint (sequential for
-// one worker, parbfs for more), with an optional guard and an optional
-// per-level barrier hook, inside a panic-isolation capture. Products
-// whose TM and manager both pack (packedFor) run on the bit-packed
-// open-addressing core; everything else takes the generic boxed path.
-// All four engines produce bit-identical adjacency and numbering.
-func scanControlled(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier) (out [][]Edge, states stateTable, pstats parbfs.Stats, err error) {
-	out, states, pstats, _, err = scanPersistControlled(alg, cm, workers, g, barrier, nil)
-	return out, states, pstats, err
-}
-
-// scanPersistControlled is scanControlled with optional persistence
-// hooks. Checkpoint/resume and spill exist only on the packed engines
-// (the boxed paths have no canonical byte representation to persist),
-// so a persisting build of an unpackable product fails loudly instead
-// of silently discarding the work it was asked to keep.
-func scanPersistControlled(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier, p *Persist) (out [][]Edge, states stateTable, pstats parbfs.Stats, resumed int, err error) {
+// scan is the exploration engine under BuildGuarded and ScanLevels:
+// scan-order BFS to the fixpoint (sequential for one worker, parbfs for
+// more), with an optional guard, an optional per-level barrier hook and
+// optional persistence hooks, inside a panic-isolation capture.
+// Products whose TM and manager both pack (packedFor) run on the
+// bit-packed open-addressing core; everything else takes the generic
+// boxed path. All four engines produce bit-identical adjacency and
+// numbering. Checkpoint/resume and spill exist only on the packed
+// engines (the boxed paths have no canonical byte representation to
+// persist), so a persisting build of an unpackable product fails
+// loudly instead of silently discarding the work it was asked to keep.
+func scan(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier, p *Persist) (out [][]Edge, states stateTable, pstats parbfs.Stats, resumed int, err error) {
 	pc := packedFor(alg, cm)
 	if p != nil && pc == nil && (p.Resume != nil || p.Sink != nil || p.Grow != nil || p.GrowShard != nil) {
 		return nil, nil, pstats, 0, errNotPackable(alg, cm)

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -9,8 +10,8 @@ import (
 )
 
 func TestBuildDeterministicAndNamed(t *testing.T) {
-	a := Build(tm.NewDSTM(2, 2), nil)
-	b := Build(tm.NewDSTM(2, 2), nil)
+	a := BuildWorkers(tm.NewDSTM(2, 2), nil, runtime.GOMAXPROCS(0))
+	b := BuildWorkers(tm.NewDSTM(2, 2), nil, runtime.GOMAXPROCS(0))
 	if a.NumStates() != b.NumStates() || a.NumEdges() != b.NumEdges() {
 		t.Errorf("nondeterministic build: %d/%d vs %d/%d states/edges",
 			a.NumStates(), a.NumEdges(), b.NumStates(), b.NumEdges())
@@ -18,14 +19,14 @@ func TestBuildDeterministicAndNamed(t *testing.T) {
 	if a.Name() != "dstm" {
 		t.Errorf("Name = %q", a.Name())
 	}
-	c := Build(tm.NewDSTM(2, 2), tm.Polite{})
+	c := BuildWorkers(tm.NewDSTM(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
 	if c.Name() != "dstm+polite" {
 		t.Errorf("Name = %q", c.Name())
 	}
 }
 
 func TestSeqTransitionSystemExact(t *testing.T) {
-	ts := Build(tm.NewSeq(2, 2), nil)
+	ts := BuildWorkers(tm.NewSeq(2, 2), nil, runtime.GOMAXPROCS(0))
 	// The paper's Table 2: the sequential TM's most general program for
 	// (2,2) has exactly 3 states.
 	if ts.NumStates() != 3 {
@@ -48,7 +49,7 @@ func TestSeqTransitionSystemExact(t *testing.T) {
 func TestPendingIsExclusive(t *testing.T) {
 	// While a command is pending for a thread, the explorer must only
 	// offer continuations of that command for that thread.
-	ts := Build(tm.NewTwoPL(2, 2), nil)
+	ts := BuildWorkers(tm.NewTwoPL(2, 2), nil, runtime.GOMAXPROCS(0))
 	for s := range ts.Out {
 		// Find the pending command per thread by looking at the state.
 		st := ts.StateAt(int32(s))
@@ -63,7 +64,7 @@ func TestPendingIsExclusive(t *testing.T) {
 }
 
 func TestEmittedLettersMatchResponses(t *testing.T) {
-	ts := Build(tm.NewTL2(2, 2), nil)
+	ts := BuildWorkers(tm.NewTL2(2, 2), nil, runtime.GOMAXPROCS(0))
 	for s := range ts.Out {
 		for _, e := range ts.Out[s] {
 			switch {
@@ -91,7 +92,7 @@ func TestEmittedLettersMatchResponses(t *testing.T) {
 }
 
 func TestRunPrefersNonAbort(t *testing.T) {
-	ts := Build(tm.NewSeq(2, 1), nil)
+	ts := BuildWorkers(tm.NewSeq(2, 1), nil, runtime.GOMAXPROCS(0))
 	run := ts.Run([]core.Thread{0, 0})
 	if len(run) != 2 {
 		t.Fatalf("run length = %d", len(run))
@@ -110,7 +111,7 @@ func TestRunPrefersNonAbort(t *testing.T) {
 
 func TestRunStopsWhenStuck(t *testing.T) {
 	// A program that exhausts a thread's commands stops the replay early.
-	ts := Build(tm.NewSeq(2, 1), nil)
+	ts := BuildWorkers(tm.NewSeq(2, 1), nil, runtime.GOMAXPROCS(0))
 	run := ts.RunProgram([]core.Thread{0, 0, 0}, Program{0: {core.Commit()}})
 	if len(run) != 1 {
 		t.Errorf("run = %v, want single commit", FormatRun(run))
@@ -120,7 +121,7 @@ func TestRunStopsWhenStuck(t *testing.T) {
 func TestInLanguageOnRandomWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, alg := range []tm.Algorithm{tm.NewTwoPL(2, 2), tm.NewDSTM(2, 2)} {
-		ts := Build(alg, nil)
+		ts := BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		for i := 0; i < 100; i++ {
 			var w core.Word
 			cur := int32(0)
@@ -143,7 +144,7 @@ func TestInLanguageOnRandomWalks(t *testing.T) {
 }
 
 func TestNFAStateCountMatchesTS(t *testing.T) {
-	ts := Build(tm.NewTwoPL(2, 1), nil)
+	ts := BuildWorkers(tm.NewTwoPL(2, 1), nil, runtime.GOMAXPROCS(0))
 	nfa := ts.NFA()
 	if nfa.NumStates() != ts.NumStates() {
 		t.Errorf("NFA states = %d, TS states = %d", nfa.NumStates(), ts.NumStates())
@@ -157,7 +158,7 @@ func TestNFAStateCountMatchesTS(t *testing.T) {
 // commits only ever close a transaction.
 func TestEmittedWordsAreWellFormed(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	ts := Build(tm.NewDSTM(2, 2), nil)
+	ts := BuildWorkers(tm.NewDSTM(2, 2), nil, runtime.GOMAXPROCS(0))
 	for i := 0; i < 200; i++ {
 		var w core.Word
 		cur := int32(0)

@@ -63,8 +63,8 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 
 				for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-					rs := safety.Check(seq, prop)
-					rp := safety.Check(par, prop)
+					rs := safety.Check(seq, prop, 1)
+					rp := safety.Check(par, prop, 4)
 					if rs.Holds != rp.Holds {
 						t.Fatalf("%s: verdicts diverge: sequential %v, parallel %v",
 							prop.Key(), rs.Holds, rp.Holds)

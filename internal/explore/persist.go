@@ -2,10 +2,7 @@ package explore
 
 import (
 	"fmt"
-	"time"
 
-	"tmcheck/internal/core"
-	"tmcheck/internal/guard"
 	"tmcheck/internal/pack"
 	"tmcheck/internal/tm"
 )
@@ -76,38 +73,6 @@ func PackedInfo(alg tm.Algorithm, cm tm.ContentionManager) (kw, keyBits int, ok 
 // exactly the work the caller asked to keep.
 func errNotPackable(alg tm.Algorithm, cm tm.ContentionManager) error {
 	return fmt.Errorf("explore: %s is not bit-packable; -checkpoint/-resume/-spill require a packed system", systemLabel(alg, cm))
-}
-
-// BuildProviderGuarded is BuildGuarded with an optional persistence
-// provider: nil runs a plain guarded build, non-nil resolves the hooks
-// for this system and runs a checkpointing build.
-func BuildProviderGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, prov PersistProvider) (*TS, error) {
-	if prov == nil {
-		return BuildGuarded(alg, cm, workers, g)
-	}
-	p, err := prov(alg, cm)
-	if err != nil {
-		return nil, err
-	}
-	return BuildPersistGuarded(alg, cm, workers, g, p)
-}
-
-// BuildPersistGuarded is BuildGuarded under persistence hooks: the
-// scan seeds from p.Resume, streams level deltas into p.Sink, and
-// allocates its flat key storage through the spill growers. The
-// resulting system — numbering, adjacency, verdicts — is bit-identical
-// to an uninterrupted unpersisted build; TS.Resumed reports how many
-// states came from the snapshot.
-func BuildPersistGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, p *Persist) (*TS, error) {
-	start := time.Now()
-	ts := &TS{Alg: alg, CM: cm, Alphabet: core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}}
-	out, states, pstats, resumed, err := scanPersistControlled(alg, cm, workers, g, nil, p)
-	if err != nil {
-		return nil, err
-	}
-	ts.Out, ts.states, ts.Resumed = out, states, resumed
-	ts.record(start, workers, pstats)
-	return ts, nil
 }
 
 // sinkFlusher tracks the barrier coordinates already persisted and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -20,7 +21,7 @@ func cancelTrace(t *testing.T, workers, cancelAt int) ([][2]int, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var trace [][2]int
-	err := ScanLevelsGuarded(tm.NewDSTM(2, 2), nil, workers, guard.New(ctx, 0, 0),
+	err := ScanLevels(tm.NewDSTM(2, 2), nil, workers, guard.New(ctx, 0, 0),
 		func(out [][]Edge, interned, expanded int) error {
 			trace = append(trace, [2]int{expanded, interned})
 			if len(trace) == cancelAt {
@@ -90,7 +91,7 @@ func TestBuildGuardedIsolatesPanics(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		var calls atomic.Int64
 		alg := panicAfter{Algorithm: tm.NewDSTM(2, 2), calls: &calls, after: 100}
-		ts, err := BuildGuarded(alg, nil, workers, nil)
+		ts, err := BuildGuarded(alg, nil, workers, nil, nil)
 		if ts != nil {
 			t.Errorf("workers=%d: got a transition system from a crashed build", workers)
 		}
@@ -104,6 +105,60 @@ func TestBuildGuardedIsolatesPanics(t *testing.T) {
 		if le.Kind != guard.KindPanic || le.Value == nil || len(le.Stack) == 0 {
 			t.Errorf("workers=%d: limit = kind %v value %v stack %d bytes, want isolated panic with stack",
 				workers, le.Kind, le.Value, len(le.Stack))
+		}
+	}
+}
+
+// TestScanLevelsMemoryWatchdog grows the heap from the barrier hook —
+// 16KiB retained per interned state — under a -maxmem cap 16MiB above
+// the current heap. The parallel scans consult the guard only at level
+// barriers, so the watchdog's schedule must follow the states a barrier
+// covers, not the number of barriers: at every worker count the scan
+// must stop at or before the first barrier after the one whose growth
+// passed the cap, long before dstm (2,2) is fully interned.
+func TestScanLevelsMemoryWatchdog(t *testing.T) {
+	const headroom, perState = 16 << 20, 16 << 10
+	var levels []int // interned count at each barrier of the full scan
+	if err := ScanLevels(tm.NewDSTM(2, 2), nil, 1, nil, func(_ [][]Edge, interned, _ int) error {
+		levels = append(levels, interned)
+		return nil
+	}); err != nil {
+		t.Fatalf("unguarded scan failed: %v", err)
+	}
+	// bound is the first barrier after the one whose retained bytes
+	// pass the headroom.
+	bound := 0
+	for i := 0; i+1 < len(levels) && bound == 0; i++ {
+		if levels[i]*perState > headroom {
+			bound = levels[i+1]
+		}
+	}
+	if bound == 0 || bound == levels[len(levels)-1] {
+		t.Fatalf("barriers %v leave no room to stop before the scan ends", levels)
+	}
+	for _, workers := range []int{1, 4} {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		var retained [][]byte
+		err := ScanLevels(tm.NewDSTM(2, 2), nil, workers, guard.New(nil, 0, ms.HeapAlloc+headroom),
+			func(_ [][]Edge, interned, _ int) error {
+				for len(retained) < interned {
+					chunk := make([]byte, perState)
+					chunk[0] = 1 // touch so the page is really committed
+					retained = append(retained, chunk)
+				}
+				return nil
+			})
+		runtime.KeepAlive(retained)
+		var le *guard.LimitError
+		if !errors.As(err, &le) || le.Kind != guard.KindMemory {
+			t.Fatalf("workers=%d: err = %v after retaining %s, want a memory limit",
+				workers, err, guard.FormatBytes(uint64(len(retained)*perState)))
+		}
+		if le.Visited > bound {
+			t.Errorf("workers=%d: tripped at %d states, want at most %d (barriers %v)",
+				workers, le.Visited, bound, levels)
 		}
 	}
 }

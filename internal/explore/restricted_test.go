@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -14,7 +15,7 @@ func TestRestrictedWithAnyProgramMatchesBuild(t *testing.T) {
 		func() tm.Algorithm { return tm.NewTwoPL(2, 2) },
 		func() tm.Algorithm { return tm.NewDSTM(2, 1) },
 	} {
-		general := Build(alg(), nil)
+		general := BuildWorkers(alg(), nil, runtime.GOMAXPROCS(0))
 		restricted := BuildRestricted(alg(), nil, nil)
 		if general.NumStates() != restricted.NumStates() ||
 			general.NumEdges() != restricted.NumEdges() {
@@ -27,7 +28,7 @@ func TestRestrictedWithAnyProgramMatchesBuild(t *testing.T) {
 
 func TestRestrictedLanguageIsIncluded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	general := Build(tm.NewDSTM(2, 2), nil).NFA()
+	general := BuildWorkers(tm.NewDSTM(2, 2), nil, runtime.GOMAXPROCS(0)).NFA()
 	restricted := BuildRestricted(tm.NewDSTM(2, 2), nil,
 		[]ThreadProgram{ReadOnlyProgram{}, nil})
 	ab := restricted.Alphabet

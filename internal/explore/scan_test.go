@@ -2,8 +2,10 @@ package explore
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
+	"tmcheck/internal/guard"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
@@ -18,7 +20,7 @@ type barrierTrace struct {
 func traceScan(t *testing.T, alg tm.Algorithm, cm tm.ContentionManager, workers int) barrierTrace {
 	t.Helper()
 	var tr barrierTrace
-	err := ScanLevels(alg, cm, workers, 0, func(out [][]Edge, interned, expanded int) error {
+	err := ScanLevels(alg, cm, workers, nil, func(out [][]Edge, interned, expanded int) error {
 		tr.expanded = append(tr.expanded, expanded)
 		tr.interned = append(tr.interned, interned)
 		if len(tr.edges) == 0 { // capture the final adjacency once at the fixpoint
@@ -55,7 +57,7 @@ func TestScanLevelsBarrierSequence(t *testing.T) {
 	}
 	for _, c := range cases {
 		ref := traceScan(t, c.alg, c.cm, 1)
-		ts := Build(c.alg, c.cm)
+		ts := BuildWorkers(c.alg, c.cm, runtime.GOMAXPROCS(0))
 		if last := ref.expanded[len(ref.expanded)-1]; last != ts.NumStates() {
 			t.Errorf("%s: final barrier expanded %d, want %d states", ts.Name(), last, ts.NumStates())
 		}
@@ -97,7 +99,7 @@ func TestScanLevelsBarrierError(t *testing.T) {
 	sentinel := errors.New("stop here")
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, 0, func(out [][]Edge, interned, expanded int) error {
+		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, nil, func(out [][]Edge, interned, expanded int) error {
 			calls++
 			if calls == 2 {
 				return sentinel
@@ -119,7 +121,7 @@ func TestScanLevelsBarrierError(t *testing.T) {
 func TestScanLevelsBudgetBeforeBarrier(t *testing.T) {
 	sentinel := errors.New("barrier ran")
 	for _, workers := range []int{1, 4} {
-		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, 2, func(out [][]Edge, interned, expanded int) error {
+		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, guard.New(nil, 2, 0), func(out [][]Edge, interned, expanded int) error {
 			if interned > 2 {
 				return sentinel
 			}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -8,7 +9,7 @@ import (
 
 func TestTable1Runs(t *testing.T) {
 	for _, tc := range Table1Scenarios {
-		ts := Build(tc.Alg(), nil)
+		ts := BuildWorkers(tc.Alg(), nil, runtime.GOMAXPROCS(0))
 		run := ts.RunProgram(tc.Schedule, tc.Programs)
 		if got := FormatRun(run); got != tc.WantRun {
 			t.Errorf("%s: run = %q, want %q", tc.Name, got, tc.WantRun)
@@ -23,7 +24,7 @@ func TestTable1Runs(t *testing.T) {
 // NFA view as well.
 func TestTable1WordsInLanguage(t *testing.T) {
 	for _, tc := range Table1Scenarios {
-		ts := Build(tc.Alg(), nil)
+		ts := BuildWorkers(tc.Alg(), nil, runtime.GOMAXPROCS(0))
 		w := core.MustParseWord(tc.WantWord)
 		if !ts.InLanguage(w) {
 			t.Errorf("%s: word %q not in language", tc.Name, w)

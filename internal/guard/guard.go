@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"tmcheck/internal/chaos"
@@ -183,16 +182,21 @@ func (e *LimitError) Is(target error) bool {
 	return false
 }
 
-// The ReadMemStats watchdog samples on an adaptive interval: after
-// each sample the next one is scheduled for when roughly a quarter of
-// the remaining headroom would be consumed at the observed allocation
-// rate, clamped to [memCheckMin, memCheckMax]. A scan allocating fast
-// near the cap is sampled every few hundred microseconds (bounding the
-// overshoot past -maxmem), while an idle or shrinking heap backs off
-// to the old fixed 50ms cadence and pays nothing extra per barrier.
+// The ReadMemStats watchdog samples on an adaptive schedule counted in
+// states — the progress count every Check call carries — not in calls
+// or wall-clock time. The engines consult the guard once per state
+// (sequential scans) or once per BFS level barrier (parallel scans,
+// whose levels grow from a handful of states to thousands), so only a
+// count of states measures allocation at both granularities, and a
+// loop that allocates faster than any timer fires is still sampled.
+// After each sample the next one waits for the states that, at the
+// bytes allocated per state since the last sample, would consume a
+// quarter of the remaining headroom, clamped to [1, memCheckMaxStates].
+// A wall-clock ceiling, memCheckMaxWait, keeps a caller whose count
+// stalls from going unsampled.
 const (
-	memCheckMin = 500 * time.Microsecond
-	memCheckMax = 50 * time.Millisecond
+	memCheckMaxStates = 1024
+	memCheckMaxWait   = 50 * time.Millisecond
 )
 
 // Guard bundles the limits one check runs under: a context (deadline
@@ -207,9 +211,13 @@ type Guard struct {
 	start     time.Time
 	maxStates int
 	maxMem    uint64
-	lastMem   time.Time
-	lastHeap  uint64
-	memEvery  time.Duration
+	// memNext is the state count at which the next heap sample is due;
+	// lastStates, lastAlloc and lastMem are the state count,
+	// MemStats.TotalAlloc and time of the last sample (lastMem is zero
+	// before the first).
+	memNext, lastStates int
+	lastAlloc           uint64
+	lastMem             time.Time
 }
 
 // New returns a guard over ctx (nil means context.Background()) with
@@ -222,13 +230,6 @@ func New(ctx context.Context, maxStates int, maxMem uint64) *Guard {
 		maxStates = 0
 	}
 	return &Guard{ctx: ctx, start: time.Now(), maxStates: maxStates, maxMem: maxMem}
-}
-
-// Process returns a guard over ctx carrying the process-wide limits
-// installed by the CLI flags: the -maxstates budget passed by the
-// caller and the -maxmem heap cap of this package.
-func Process(ctx context.Context, maxStates int) *Guard {
-	return New(ctx, maxStates, MaxMem())
 }
 
 // MaxStates returns the guard's state budget (0 = unlimited).
@@ -300,58 +301,53 @@ func (g *Guard) Check(states int) error {
 	if g.maxStates > 0 && states > g.maxStates {
 		return trip(&LimitError{Kind: KindStates, Budget: g.maxStates, Visited: states})
 	}
-	if g.maxMem > 0 {
-		if g.memEvery == 0 {
-			g.memEvery = memCheckMin
+	if g.maxMem > 0 && (states >= g.memNext || time.Since(g.lastMem) >= memCheckMaxWait) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		// The watchdog is the one place that already pays for
+		// ReadMemStats, so it also publishes the heap vitals the
+		// after-the-run report used to silently discard.
+		obs.Inc("guard.mem.samples", 1)
+		obs.MaxGauge("guard.heap.max_bytes", int64(ms.HeapAlloc))
+		if ms.HeapAlloc > g.maxMem {
+			return trip(&LimitError{
+				Kind: KindMemory, Visited: states, Elapsed: time.Since(g.start),
+				MaxMemBytes: g.maxMem, HeapBytes: ms.HeapAlloc,
+			})
 		}
-		if now := time.Now(); g.lastMem.IsZero() || now.Sub(g.lastMem) >= g.memEvery {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			// The watchdog is the one place that already pays for
-			// ReadMemStats, so it also publishes the heap vitals the
-			// after-the-run report used to silently discard.
-			obs.Inc("guard.mem.samples", 1)
-			obs.MaxGauge("guard.heap.max_bytes", int64(ms.HeapAlloc))
-			if ms.HeapAlloc > g.maxMem {
-				return trip(&LimitError{
-					Kind: KindMemory, Visited: states, Elapsed: time.Since(g.start),
-					MaxMemBytes: g.maxMem, HeapBytes: ms.HeapAlloc,
-				})
-			}
-			g.memEvery = nextMemCheck(g.memEvery, now.Sub(g.lastMem), g.lastHeap, ms.HeapAlloc, g.maxMem, g.lastMem.IsZero())
-			g.lastMem, g.lastHeap = now, ms.HeapAlloc
+		advanced := states - g.lastStates
+		if g.lastMem.IsZero() {
+			advanced = 0 // no rate is known at the first sample
 		}
+		g.memNext = states + nextMemCheck(advanced, ms.TotalAlloc-g.lastAlloc, ms.HeapAlloc, g.maxMem)
+		g.lastStates, g.lastAlloc, g.lastMem = states, ms.TotalAlloc, time.Now()
 	}
 	return nil
 }
 
-// nextMemCheck schedules the watchdog's next heap sample from the
-// growth observed over the last interval: the time for the current
-// allocation rate to consume a quarter of the remaining headroom,
-// clamped to [memCheckMin, memCheckMax]. A flat or shrinking heap
-// doubles the interval instead (up to the max), so steady-state scans
-// converge back to the cheap cadence after an allocation burst.
-func nextMemCheck(cur, dt time.Duration, prevHeap, heap, cap uint64, first bool) time.Duration {
-	if first || dt <= 0 {
-		return memCheckMin
+// nextMemCheck returns how many states the watchdog waits before its
+// next heap sample. advanced is the number of states the interval that
+// just ended covered (0 or less when no rate is known: the first
+// sample, or a count that stalled or restarted) and allocated the bytes
+// allocated over it — TotalAlloc growth, so a GC between samples does
+// not read as an idle heap. The result is the number of states that, at
+// that many bytes per state, would consume a quarter of the headroom
+// left under the cap, clamped to [1, memCheckMaxStates].
+func nextMemCheck(advanced int, allocated, heap, cap uint64) int {
+	if advanced <= 0 || heap >= cap {
+		return 1
 	}
-	if heap <= prevHeap {
-		if cur *= 2; cur > memCheckMax {
-			cur = memCheckMax
-		}
-		return cur
+	if allocated == 0 {
+		return memCheckMaxStates
 	}
-	if heap >= cap {
-		return memCheckMin
+	next := float64(cap-heap) * float64(advanced) / (4 * float64(allocated))
+	if next < 1 {
+		return 1
 	}
-	next := time.Duration(float64(dt) * float64(cap-heap) / (4 * float64(heap-prevHeap)))
-	if next < memCheckMin {
-		return memCheckMin
+	if next > memCheckMaxStates {
+		return memCheckMaxStates
 	}
-	if next > memCheckMax {
-		return memCheckMax
-	}
-	return next
+	return int(next)
 }
 
 // trip publishes the limit on the telemetry bus (an EvLimitHit, or an
@@ -392,17 +388,6 @@ func Capture(f func() error) (err error) {
 	}()
 	return f()
 }
-
-// maxMem is the process-wide heap cap in bytes; 0 means unlimited.
-var maxMem atomic.Uint64
-
-// MaxMem returns the process-wide heap cap installed by SetMaxMem (the
-// -maxmem flag of cmd/tmcheck), or 0 for unlimited.
-func MaxMem() uint64 { return maxMem.Load() }
-
-// SetMaxMem installs the process-wide heap cap in bytes; 0 resets to
-// unlimited.
-func SetMaxMem(bytes uint64) { maxMem.Store(bytes) }
 
 // FormatBytes renders a byte count with a binary suffix, e.g. "512MiB".
 func FormatBytes(n uint64) string {

@@ -111,35 +111,47 @@ func TestGuardMemoryWatchdog(t *testing.T) {
 }
 
 func TestNextMemCheckSchedule(t *testing.T) {
-	// The first sample (no rate observed yet) starts at the floor.
-	if got := nextMemCheck(memCheckMax, time.Millisecond, 0, 0, 1<<30, true); got != memCheckMin {
-		t.Errorf("first interval = %v, want %v", got, memCheckMin)
+	// The first sample (no rate observed yet) samples again next state.
+	if got := nextMemCheck(0, 0, 0, 1<<30); got != 1 {
+		t.Errorf("first interval = %d, want 1", got)
+	}
+	// A count that went backwards (a restarted scan) has no rate either.
+	if got := nextMemCheck(-5, 1<<20, 0, 1<<30); got != 1 {
+		t.Errorf("restarted count = %d, want 1", got)
 	}
 	// Fast growth near the cap pins the interval to the floor.
-	if got := nextMemCheck(memCheckMax, time.Millisecond, 900<<20, 1000<<20, 1024<<20, false); got != memCheckMin {
-		t.Errorf("fast growth near cap = %v, want %v", got, memCheckMin)
+	if got := nextMemCheck(1, 100<<20, 1000<<20, 1024<<20); got != 1 {
+		t.Errorf("fast growth near cap = %d, want 1", got)
+	}
+	// A heap already over the cap (a trip is imminent) samples every state.
+	if got := nextMemCheck(memCheckMaxStates, 1, 2<<30, 1<<30); got != 1 {
+		t.Errorf("heap over cap = %d, want 1", got)
 	}
 	// Slow growth far from the cap rides the ceiling.
-	if got := nextMemCheck(memCheckMin, 50*time.Millisecond, 10<<20, 10<<20+1024, 4096<<20, false); got != memCheckMax {
-		t.Errorf("slow growth far from cap = %v, want %v", got, memCheckMax)
+	if got := nextMemCheck(1000, 1024, 10<<20, 4096<<20); got != memCheckMaxStates {
+		t.Errorf("slow growth far from cap = %d, want %d", got, memCheckMaxStates)
 	}
-	// A flat or shrinking heap backs off geometrically.
-	if got := nextMemCheck(memCheckMin, time.Millisecond, 100<<20, 90<<20, 1<<30, false); got != 2*memCheckMin {
-		t.Errorf("shrinking heap = %v, want %v", got, 2*memCheckMin)
+	// No allocation at all backs off to the ceiling.
+	if got := nextMemCheck(1, 0, 100<<20, 1<<30); got != memCheckMaxStates {
+		t.Errorf("idle heap = %d, want %d", got, memCheckMaxStates)
 	}
-	// Steady growth schedules for a quarter of the headroom:
-	// 100MiB grown in 10ms with 400MiB headroom left → 10ms.
-	if got, want := nextMemCheck(memCheckMin, 10*time.Millisecond, 0, 100<<20, 500<<20, false), 10*time.Millisecond; got != want {
-		t.Errorf("steady growth = %v, want %v", got, want)
+	// Steady growth schedules for a quarter of the headroom: 100MiB
+	// allocated over 10 states with 400MiB headroom left → 10 states.
+	// The heap may have shrunk in between (a GC ran); the allocation
+	// rate, not the heap delta, sets the pace.
+	if got := nextMemCheck(10, 100<<20, 100<<20, 500<<20); got != 10 {
+		t.Errorf("steady growth = %d, want 10", got)
 	}
 }
 
 func TestGuardMemoryWatchdogBoundedOvershoot(t *testing.T) {
-	// Regression: the watchdog used to sample at a fixed 50ms cadence,
-	// so a tight allocation loop could retain hundreds of MiB past
-	// -maxmem between two samples. The adaptive interval must keep the
-	// trip within a modest margin of the cap; the slack is generous to
-	// absorb CI scheduling jitter.
+	// Regression: a wall-clock sampling schedule cannot bound the
+	// overshoot of a loop that allocates faster than the timer fires,
+	// so a tight allocation loop retained hundreds of MiB past -maxmem
+	// between two samples. The state-counted schedule must keep the
+	// trip within a modest margin of the cap. The baseline is read from
+	// a collected heap so repeated runs (-count N) start alike.
+	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	const headroom = 64 << 20
@@ -167,6 +179,53 @@ func TestGuardMemoryWatchdogBoundedOvershoot(t *testing.T) {
 	if le.HeapBytes > capBytes+slack {
 		t.Fatalf("watchdog overshoot: tripped at heap %s, cap %s + %s slack",
 			FormatBytes(le.HeapBytes), FormatBytes(capBytes), FormatBytes(slack))
+	}
+}
+
+func TestGuardMemoryWatchdogAtLevelBarriers(t *testing.T) {
+	// Regression: the parallel engines consult the guard once per BFS
+	// level barrier, and their levels grow. A schedule counted in
+	// Check calls learned its rate from the first, tiny levels, waited
+	// hundreds of calls, and so never sampled again in a scan of a few
+	// dozen levels. Here every level doubles and each state retains
+	// 16KiB; the watchdog must trip no later than the first barrier at
+	// which the retained bytes pass the cap.
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	const (
+		headroom = 48 << 20
+		perState = 16 << 10
+	)
+	g := New(nil, 0, ms.HeapAlloc+headroom)
+
+	var le *LimitError
+	var retained [][]byte
+	states, crossed := 0, 0
+	for level := 1; level <= 4096 && le == nil; level *= 2 {
+		for i := 0; i < level; i++ {
+			chunk := make([]byte, perState)
+			chunk[0] = 1 // touch so the page is really committed
+			retained = append(retained, chunk)
+		}
+		states += level
+		if crossed == 0 && states*perState > headroom {
+			crossed = states
+		}
+		if err := g.Check(states); err != nil {
+			if !errors.As(err, &le) || le.Kind != KindMemory {
+				t.Fatalf("Check(%d) = %v, want a memory limit", states, err)
+			}
+		}
+	}
+	runtime.KeepAlive(retained)
+	if le == nil {
+		t.Fatalf("retained %s over %d states at level barriers without tripping a %s cap",
+			FormatBytes(uint64(states*perState)), states, FormatBytes(headroom))
+	}
+	if le.Visited > crossed {
+		t.Fatalf("watchdog skipped barriers: tripped at %d states, but the retained heap passed the cap at the barrier of %d states",
+			le.Visited, crossed)
 	}
 }
 

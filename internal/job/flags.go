@@ -87,17 +87,17 @@ import (
 	"tmcheck/internal/chaos"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/snap"
-	"tmcheck/internal/space"
 )
 
 // Flags holds the global flags every front-end shares: resource
 // budgets, the telemetry surfaces, profiling, and the remote-submit
 // address. Fill it with Extract (position-independent parsing, the
 // tmcheck style) or Register (a flag.FlagSet, the tmfuzz style), then
-// drive the lifecycle: Install to set the process-wide knobs, Begin
-// before the command, Finish after.
+// drive the lifecycle: InstallChaos, Begin before the command, Finish
+// after. The resource budgets are plain values: the front-end copies
+// them into each job.Spec or guard it runs, so nothing here changes
+// what another run in the same process sees.
 type Flags struct {
 	Workers          int
 	MaxStates        int
@@ -291,28 +291,9 @@ func (b bytesFlag) Set(s string) error {
 	return nil
 }
 
-// Install publishes the resource flags to the process-wide knobs the
-// engines' default paths read: parbfs.Workers, space.MaxStates,
-// guard.MaxMem. Front-ends that scope budgets per job (tmcheckd, or
-// tmfuzz's cumulative spec-state budget) skip Install and put the
-// fields in the Spec or guard themselves.
-func (g *Flags) Install() {
-	if g.Workers > 0 {
-		parbfs.SetWorkers(g.Workers)
-	}
-	if g.MaxStates > 0 {
-		space.SetMaxStates(g.MaxStates)
-	}
-	if g.MaxMem > 0 {
-		guard.SetMaxMem(g.MaxMem)
-	}
-	g.InstallChaos()
-}
-
 // InstallChaos installs the deterministic fault plan when -chaos-seed
 // was given, announcing the armed sites on stderr so a failing run is
-// attributable. Front-ends that skip Install (tmfuzz) call this
-// directly.
+// attributable.
 func (g *Flags) InstallChaos() {
 	if g.ChaosSeed == 0 {
 		return

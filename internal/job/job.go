@@ -68,11 +68,11 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("unknown job kind %q (want safety, liveness, table2 or table3)", s)
 }
 
-// Spec is one verification job, serializable over internal/wire. The
-// zero values of the resource fields mean "resolve from the
-// process-wide knobs" (the CLI's -workers/-maxstates/-maxmem), so a
-// Spec built from CLI flags runs exactly as the flags dictate, and a
-// daemon fills its own defaults before running.
+// Spec is one verification job, serializable over internal/wire. It
+// carries every setting the run depends on: the zero values of the
+// resource fields mean GOMAXPROCS workers and no limit, exactly as the
+// CLI's unset -workers/-maxstates/-timeout/-maxmem flags do, and a
+// daemon fills its own defaults into unset fields before running.
 type Spec struct {
 	// Kind selects the job shape.
 	Kind Kind
@@ -92,17 +92,16 @@ type Spec struct {
 	// Ext includes the extension TMs (norec, etl) and broken variants
 	// in a table2 job.
 	Ext bool
-	// Workers is the parallel-engine worker count; <= 0 resolves to the
-	// process-wide parbfs.Workers().
+	// Workers is the parallel-engine worker count; <= 0 means
+	// GOMAXPROCS.
 	Workers int
-	// MaxStates bounds the states any check constructs; <= 0 resolves
-	// to the process-wide space.MaxStates() (0 there means unlimited).
+	// MaxStates bounds the states any check constructs; <= 0 means
+	// unlimited.
 	MaxStates int
 	// Timeout bounds the job's wall-clock; 0 means no deadline beyond
 	// the caller's context.
 	Timeout time.Duration
-	// MaxMem is the heap cap in bytes; 0 resolves to the process-wide
-	// guard.MaxMem().
+	// MaxMem is the heap cap in bytes; 0 means uncapped.
 	MaxMem uint64
 	// Checkpoint names a snapshot file the run appends the interned
 	// state-space prefix to at every guard barrier, so a killed or

@@ -212,7 +212,7 @@ func TestRunSafety(t *testing.T) {
 }
 
 // TestRunSafetyBudget checks a Spec-scoped budget stops the check with
-// the typed limit error without touching the process-wide knobs.
+// the typed limit error.
 func TestRunSafetyBudget(t *testing.T) {
 	_, err := Run(context.Background(), Spec{Kind: KindSafety, TM: "dstm", MaxStates: 100})
 	if !errors.Is(err, guard.ErrStates) {

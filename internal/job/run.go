@@ -207,21 +207,9 @@ func runLiveness(ctx context.Context, sp Spec, cfg Config, engine space.Engine, 
 		}
 		return nil
 	}
-	workers := sp.Workers
-	if workers <= 0 {
-		workers = parbfs.Workers()
-	}
-	maxStates := sp.MaxStates
-	if maxStates <= 0 {
-		maxStates = space.MaxStates()
-	}
-	maxMem := sp.MaxMem
-	if maxMem == 0 {
-		maxMem = guard.MaxMem()
-	}
 	buildStart := time.Now()
 	buildDone := phaseFn(cfg, "build-tm")
-	ts, err := explore.BuildProviderGuarded(alg, cm, workers, guard.New(ctx, maxStates, maxMem), prov)
+	ts, err := explore.BuildGuarded(alg, cm, parbfs.ResolveWorkers(sp.Workers), guard.New(ctx, sp.MaxStates, sp.MaxMem), prov)
 	buildDone()
 	if err != nil {
 		return err
@@ -257,10 +245,11 @@ func runTable2(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 			systems = append(systems, safety.System{Alg: alg})
 		}
 	}
-	rows := safety.Table2ResilientOpts(systems, engine, safety.Options{
+	rows := safety.Table2(systems, safety.Options{
 		Workers:   sp.Workers,
 		MaxStates: sp.MaxStates,
 		MaxMem:    sp.MaxMem,
+		Engine:    engine,
 		Ctx:       ctx,
 		NoPhases:  cfg.NoPhases,
 		Persist:   prov,
@@ -273,7 +262,7 @@ func runTable2(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 
 func runTable3(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
 	systems := liveness.PaperSystems(sp.Threads, sp.Vars)
-	rows := liveness.Table3ResilientOpts(systems, engine, liveness.Options{
+	rows := liveness.Table3(systems, engine, liveness.Options{
 		Workers:   sp.Workers,
 		MaxStates: sp.MaxStates,
 		MaxMem:    sp.MaxMem,

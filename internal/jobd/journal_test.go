@@ -145,7 +145,7 @@ func TestServerReportsAndReadoptsOrphans(t *testing.T) {
 // runs to completion leaves no orphan for the next daemon.
 func TestServerJournalRecordsCompletion(t *testing.T) {
 	dir := t.TempDir()
-	_, addr := startServer(t, Config{Jobs: 1, SnapDir: dir})
+	srv, addr := startServer(t, Config{Jobs: 1, SnapDir: dir})
 	c := dial(t, addr)
 	if _, err := c.Run(context.Background(), job.Spec{
 		Kind: job.KindSafety, TM: "seq", Prop: "op", Threads: 2, Vars: 1,
@@ -153,7 +153,10 @@ func TestServerJournalRecordsCompletion(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A second daemon over the same snap dir must see a clean journal.
+	// The job journals its completion after delivering the result, so
+	// stop the first daemon — as a restart does — before the second one
+	// reads the journal; it must then see a clean journal.
+	srv.Close()
 	srv2 := New(Config{Jobs: 1, SnapDir: dir})
 	addr2, err := srv2.Start("127.0.0.1:0")
 	if err != nil {

@@ -74,6 +74,7 @@ type Server struct {
 	connWG     sync.WaitGroup
 	stopBus    func()
 	journal    *journal
+	finishOnce sync.Once
 
 	mu       sync.Mutex
 	draining bool
@@ -243,25 +244,30 @@ func (s *Server) Close() error {
 }
 
 // finish closes remaining connections and waits for every goroutine.
+// Shutdown and Close can both reach it at once (a drain still waiting
+// when a hard Close arrives); the Once tears down exactly once and
+// makes the later caller wait until that is done.
 func (s *Server) finish() {
-	s.mu.Lock()
-	s.closed = true
-	conns := make([]*connState, 0, len(s.conns))
-	for cs := range s.conns {
-		conns = append(conns, cs)
-	}
-	s.mu.Unlock()
-	for _, cs := range conns {
-		cs.nc.Close()
-	}
-	s.connWG.Wait()
-	s.jobWG.Wait()
-	if s.stopBus != nil {
-		s.stopBus()
-		s.stopBus = nil
-	}
-	s.journal.close()
-	s.cfg.Logf("tmcheckd: stopped")
+	s.finishOnce.Do(func() {
+		s.mu.Lock()
+		s.closed = true
+		conns := make([]*connState, 0, len(s.conns))
+		for cs := range s.conns {
+			conns = append(conns, cs)
+		}
+		s.mu.Unlock()
+		for _, cs := range conns {
+			cs.nc.Close()
+		}
+		s.connWG.Wait()
+		s.jobWG.Wait()
+		if s.stopBus != nil {
+			s.stopBus()
+			s.stopBus = nil
+		}
+		s.journal.close()
+		s.cfg.Logf("tmcheckd: stopped")
+	})
 }
 
 // forward relays one bus event as throttled progress frames to every
@@ -425,6 +431,13 @@ func (cs *connState) submit(reqID uint64, sp job.Spec) {
 	go func() {
 		defer s.jobWG.Done()
 		defer jobCancel()
+		// Deferred, so "done" is journaled only after the Result frame
+		// is written: the journal's fsync stays off the client's
+		// latency, which every job of a -snap-dir daemon would pay
+		// otherwise. A daemon killed in between reports the finished
+		// job as an orphan, which is harmless (re-adoption just reruns
+		// or resumes it); Close waits for this goroutine, so a clean
+		// shutdown always records the completion.
 		defer s.journal.done(jid)
 		defer func() {
 			cs.mu.Lock()

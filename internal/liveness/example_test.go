@@ -2,6 +2,7 @@ package liveness_test
 
 import (
 	"fmt"
+	"runtime"
 
 	"tmcheck/internal/explore"
 	"tmcheck/internal/liveness"
@@ -12,10 +13,10 @@ func ExampleCheckObstructionFreedom() {
 	// DSTM with the aggressive contention manager never aborts a
 	// transaction running alone, so it is obstruction free; with the
 	// polite manager it is not.
-	aggr := explore.Build(tm.NewDSTM(2, 1), tm.Aggressive{})
+	aggr := explore.BuildWorkers(tm.NewDSTM(2, 1), tm.Aggressive{}, runtime.GOMAXPROCS(0))
 	fmt.Println("dstm+aggressive:", liveness.CheckObstructionFreedom(aggr).Holds)
 
-	pol := explore.Build(tm.NewDSTM(2, 1), tm.Polite{})
+	pol := explore.BuildWorkers(tm.NewDSTM(2, 1), tm.Polite{}, runtime.GOMAXPROCS(0))
 	res := liveness.CheckObstructionFreedom(pol)
 	fmt.Println("dstm+polite:", res.Holds, "loop:", res.LoopWord())
 	// Output:
@@ -26,7 +27,7 @@ func ExampleCheckObstructionFreedom() {
 func ExampleCheckLivelockFreedom() {
 	// Two writers stealing ownership from each other forever: no TM in the
 	// paper is livelock free.
-	ts := explore.Build(tm.NewDSTM(2, 1), tm.Aggressive{})
+	ts := explore.BuildWorkers(tm.NewDSTM(2, 1), tm.Aggressive{}, runtime.GOMAXPROCS(0))
 	res := liveness.CheckLivelockFreedom(ts)
 	fmt.Println("livelock free:", res.Holds)
 	fmt.Println("loop:", res.LoopWord())
@@ -35,11 +36,11 @@ func ExampleCheckLivelockFreedom() {
 	// loop: a2, (o,1)2, a1, (o,1)1
 }
 
-func ExampleCheckOnTheFly() {
+func ExampleCheckOnTheFlyOpts() {
 	// The on-the-fly engine explores the managed TM lazily and stops at
 	// the first violating lasso; verdicts and loop words are identical
 	// to the materialized checks above for every -workers count.
-	res, err := liveness.CheckOnTheFly(tm.NewDSTM(2, 1), tm.Polite{}, liveness.ObstructionFreedom)
+	res, err := liveness.CheckOnTheFlyOpts(tm.NewDSTM(2, 1), tm.Polite{}, liveness.ObstructionFreedom, liveness.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -34,7 +34,6 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
@@ -264,76 +263,4 @@ func PaperSystems(n, k int) []System {
 		{Alg: tm.NewDSTM(n, k), CM: tm.Aggressive{}},
 		{Alg: tm.NewTL2(n, k), CM: tm.Polite{}},
 	}
-}
-
-// Table3 reproduces the paper's Table 3 on the given systems with the
-// materialized engine, ignoring any state budget (Table3Materialized is
-// the budget-aware driver behind cmd/tmcheck).
-//
-// With the process-wide worker count above one, the rows run
-// concurrently over a bounded pool (each row's exploration and checks
-// stay sequential inside the row); results are identical to the
-// sequential driver.
-func Table3(systems []System) []Table3Row {
-	if workers := parbfs.Workers(); workers > 1 && len(systems) > 1 {
-		return table3Par(systems, workers)
-	}
-	return table3Seq(systems)
-}
-
-// table3Par fans the rows out over the worker pool. Per-row obs phases
-// are skipped — the phase stack assumes a single-threaded spine — but
-// the counters and the returned rows match table3Seq.
-func table3Par(systems []System, workers int) []Table3Row {
-	done := obs.Phase("liveness:table3-parallel")
-	defer done()
-	rows := make([]Table3Row, len(systems))
-	parbfs.For(len(systems), workers, func(i int) {
-		sys := systems[i]
-		buildStart := time.Now()
-		ts := explore.BuildWorkers(sys.Alg, sys.CM, 1)
-		buildElapsed := time.Since(buildStart)
-		row := Table3Row{
-			Obstruction: CheckObstructionFreedom(ts),
-			Livelock:    CheckLivelockFreedom(ts),
-			Wait:        CheckWaitFreedom(ts),
-		}
-		row.Obstruction.BuildElapsed = buildElapsed
-		rows[i] = row
-	})
-	return rows
-}
-
-func table3Seq(systems []System) []Table3Row {
-	var rows []Table3Row
-	for _, sys := range systems {
-		name := sys.Alg.Name()
-		if sys.CM != nil {
-			name += "+" + sys.CM.Name()
-		}
-		doneSys := obs.Phase("liveness:" + name)
-		doneBuild := obs.Phase("build-tm")
-		buildStart := time.Now()
-		ts := explore.Build(sys.Alg, sys.CM)
-		buildElapsed := time.Since(buildStart)
-		doneBuild()
-		row := Table3Row{
-			Obstruction: checkInPhase(ts, ObstructionFreedom, CheckObstructionFreedom),
-			Livelock:    checkInPhase(ts, LivelockFreedom, CheckLivelockFreedom),
-			Wait:        checkInPhase(ts, WaitFreedom, CheckWaitFreedom),
-		}
-		// The shared exploration is charged to the first check; the
-		// build and check times of a row then add up to its wall-clock.
-		row.Obstruction.BuildElapsed = buildElapsed
-		rows = append(rows, row)
-		doneSys()
-	}
-	return rows
-}
-
-// checkInPhase runs one liveness check inside a named obs phase.
-func checkInPhase(ts *explore.TS, p Prop, check func(*explore.TS) Result) Result {
-	done := obs.Phase("check:" + p.Key())
-	defer done()
-	return check(ts)
 }

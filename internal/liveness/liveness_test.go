@@ -1,9 +1,11 @@
 package liveness
 
 import (
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/explore"
+	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -11,7 +13,7 @@ import (
 // with the aggressive manager is obstruction free, everything else is not;
 // no system is livelock free (hence none is wait free).
 func TestTheorem6Table3(t *testing.T) {
-	rows := Table3(PaperSystems(2, 1))
+	rows := Table3(PaperSystems(2, 1), space.EngineMaterialized, Options{})
 	names := []string{"seq", "2pl", "dstm+aggressive", "tl2+polite"}
 	wantObstruction := []bool{false, false, true, false}
 	for i, row := range rows {
@@ -45,7 +47,7 @@ func TestObstructionLoopShape(t *testing.T) {
 		{Alg: tm.NewTwoPL(2, 1)},
 		{Alg: tm.NewTL2(2, 1), CM: tm.Polite{}},
 	} {
-		ts := explore.Build(sys.Alg, sys.CM)
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		res := CheckObstructionFreedom(ts)
 		if res.Holds {
 			t.Errorf("%s: expected an obstruction-freedom violation", ts.Name())
@@ -81,7 +83,7 @@ func TestMinimalAbortLoops(t *testing.T) {
 		{Alg: tm.NewSeq(2, 1)},
 		{Alg: tm.NewTwoPL(2, 1)},
 	} {
-		ts := explore.Build(sys.Alg, sys.CM)
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		res := CheckObstructionFreedom(ts)
 		if res.Holds {
 			t.Fatalf("%s: expected violation", ts.Name())
@@ -95,7 +97,7 @@ func TestMinimalAbortLoops(t *testing.T) {
 // DSTM+aggressive's livelock loop must abort every participating thread
 // and never commit — the shape of the paper's w2.
 func TestDSTMAggressiveLivelockLoop(t *testing.T) {
-	ts := explore.Build(tm.NewDSTM(2, 1), tm.Aggressive{})
+	ts := explore.BuildWorkers(tm.NewDSTM(2, 1), tm.Aggressive{}, runtime.GOMAXPROCS(0))
 	res := CheckLivelockFreedom(ts)
 	if res.Holds {
 		t.Fatal("dstm+aggressive should not be livelock free")
@@ -126,7 +128,7 @@ func TestDSTMAggressiveLivelockLoop(t *testing.T) {
 // The stem must lead from the initial state to the loop: replaying
 // stem+loop edge targets must be consistent.
 func TestStemConnectsToLoop(t *testing.T) {
-	ts := explore.Build(tm.NewTwoPL(2, 1), nil)
+	ts := explore.BuildWorkers(tm.NewTwoPL(2, 1), nil, runtime.GOMAXPROCS(0))
 	res := CheckObstructionFreedom(ts)
 	if res.Holds {
 		t.Fatal("expected violation")
@@ -170,7 +172,7 @@ func TestStemConnectsToLoop(t *testing.T) {
 // wait-free TM would need every transaction to commit eventually, but
 // DSTM+aggressive can abort one thread whenever another keeps committing.
 func TestWaitFreedomStrictlyStronger(t *testing.T) {
-	ts := explore.Build(tm.NewDSTM(2, 1), tm.Aggressive{})
+	ts := explore.BuildWorkers(tm.NewDSTM(2, 1), tm.Aggressive{}, runtime.GOMAXPROCS(0))
 	obstruction := CheckObstructionFreedom(ts)
 	wait := CheckWaitFreedom(ts)
 	if !obstruction.Holds {
@@ -184,7 +186,7 @@ func TestWaitFreedomStrictlyStronger(t *testing.T) {
 // Liveness verdicts are stable at (2,2): the reduction theorem says (2,1)
 // suffices, and adding a variable must not rescue any property.
 func TestLivenessAtTwoVars(t *testing.T) {
-	rows := Table3(PaperSystems(2, 2))
+	rows := Table3(PaperSystems(2, 2), space.EngineMaterialized, Options{})
 	wantObstruction := []bool{false, false, true, false}
 	for i, row := range rows {
 		if row.Obstruction.Holds != wantObstruction[i] {
@@ -200,7 +202,7 @@ func TestLivenessAtTwoVars(t *testing.T) {
 // A sequential TM with a single thread is trivially obstruction free,
 // livelock free and wait free: nothing ever aborts.
 func TestSingleThreadIsLive(t *testing.T) {
-	ts := explore.Build(tm.NewSeq(1, 1), nil)
+	ts := explore.BuildWorkers(tm.NewSeq(1, 1), nil, runtime.GOMAXPROCS(0))
 	if res := CheckObstructionFreedom(ts); !res.Holds {
 		t.Errorf("single-thread seq: obstruction freedom fails with %q", res.LoopWord())
 	}
@@ -231,7 +233,7 @@ func TestVerdictsStableAcrossInstances(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ts := explore.Build(alg, cm)
+				ts := explore.BuildWorkers(alg, cm, runtime.GOMAXPROCS(0))
 				verdicts[i] = CheckObstructionFreedom(ts).Holds
 			}
 			if verdicts[0] != verdicts[1] {

@@ -67,18 +67,17 @@ func lassoSearch(out [][]explore.Edge, threads int, p Prop) (stem, loop []explor
 	return nil, nil
 }
 
-// Options configures CheckOnTheFlyOpts.
+// Options configures CheckOnTheFlyOpts, CheckAllOnTheFlyOpts and
+// Table3.
 type Options struct {
-	// Workers is the exploration worker count; <= 0 takes the
-	// process-wide parbfs.Workers(). One worker runs the sequential
-	// scan. Verdicts and lasso words are identical for every value.
+	// Workers is the exploration worker count; <= 0 means GOMAXPROCS.
+	// One worker runs the sequential scan. Verdicts and lasso words are
+	// identical for every value.
 	Workers int
-	// MaxStates bounds the states interned; <= 0 takes the process-wide
-	// space.MaxStates(), where 0 means unbounded. A blown budget fails
-	// the check with a *space.BudgetError.
+	// MaxStates bounds the states interned; <= 0 means unbounded. A
+	// blown budget fails the check with a *space.BudgetError.
 	MaxStates int
-	// MaxMem is the heap cap in bytes; 0 takes the process-wide
-	// guard.MaxMem(), where 0 means uncapped.
+	// MaxMem is the heap cap in bytes; 0 means uncapped.
 	MaxMem uint64
 	// Ctx carries the check's deadline and cancellation; nil means no
 	// deadline. The scan consults it at the same points where it checks
@@ -95,34 +94,15 @@ type Options struct {
 	Persist explore.PersistProvider
 }
 
-// guard builds one check's guard from the options, resolving unset
-// budgets from the process-wide knobs.
+// guard builds one check's guard from the options.
 func (opts Options) guard() *guard.Guard {
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = space.MaxStates()
-	}
-	maxMem := opts.MaxMem
-	if maxMem == 0 {
-		maxMem = guard.MaxMem()
-	}
-	return guard.New(opts.Ctx, maxStates, maxMem)
+	return guard.New(opts.Ctx, opts.MaxStates, opts.MaxMem)
 }
 
-// CheckOnTheFly checks one liveness property with the on-the-fly engine
-// at the process-wide worker count and state budget (the -workers and
-// -maxstates flags of cmd/tmcheck).
-func CheckOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, p Prop) (Result, error) {
-	return CheckOnTheFlyOpts(alg, cm, p, Options{})
-}
-
-// CheckOnTheFlyOpts is CheckOnTheFly with explicit options.
+// CheckOnTheFlyOpts checks one liveness property with the on-the-fly
+// engine.
 func CheckOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, p Prop, opts Options) (Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parbfs.Workers()
-	}
-	res, err := checkLazy(alg, cm, []Prop{p}, workers, opts.guard(), !opts.NoPhases)
+	res, err := checkLazy(alg, cm, []Prop{p}, parbfs.ResolveWorkers(opts.Workers), opts.guard(), !opts.NoPhases)
 	if err != nil {
 		if len(res) == 1 {
 			// Partial outcome: the property may have resolved (a real
@@ -135,21 +115,12 @@ func CheckOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, p Prop, opts O
 	return res[0], nil
 }
 
-// CheckAllOnTheFly checks all three properties over a single shared
+// CheckAllOnTheFlyOpts checks all three properties over a single shared
 // exploration: each property resolves (fails) at its own probe, and the
 // scan stops early once every property has a violation. Results equal
-// three independent CheckOnTheFly calls.
-func CheckAllOnTheFly(alg tm.Algorithm, cm tm.ContentionManager) (Table3Row, error) {
-	return CheckAllOnTheFlyOpts(alg, cm, Options{})
-}
-
-// CheckAllOnTheFlyOpts is CheckAllOnTheFly with explicit options.
+// three independent CheckOnTheFlyOpts calls.
 func CheckAllOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, opts Options) (Table3Row, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parbfs.Workers()
-	}
-	res, err := checkLazy(alg, cm, Props, workers, opts.guard(), !opts.NoPhases)
+	res, err := checkLazy(alg, cm, Props, parbfs.ResolveWorkers(opts.Workers), opts.guard(), !opts.NoPhases)
 	if err != nil {
 		if len(res) == 3 {
 			// Partial outcome: resolved properties keep their violations,
@@ -254,7 +225,7 @@ func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, workers 
 		}
 		return nil
 	}
-	if err := explore.ScanLevelsGuarded(alg, cm, workers, g, barrier); err != nil && !errors.Is(err, errAllResolved) {
+	if err := explore.ScanLevels(alg, cm, workers, g, barrier); err != nil && !errors.Is(err, errAllResolved) {
 		var le *guard.LimitError
 		if !errors.As(err, &le) {
 			emitDone("ERROR: " + err.Error())
@@ -325,108 +296,6 @@ func (r Result) recordOTF() {
 		obs.SetGauge(key+".stem_len", int64(len(r.Stem)))
 	}
 	obs.AddTime(key+".search", r.Elapsed)
-}
-
-// Table3OnTheFly is Table3 with the on-the-fly engine and the
-// process-wide state budget. Each row runs the sequential scan; with
-// the process-wide worker count above one, the rows fan out over the
-// pool instead (the coarser parallelism, exactly as Table2OnTheFly) —
-// so rows are bit-identical for every worker count. A budget error on
-// any row aborts the table.
-func Table3OnTheFly(systems []System) ([]Table3Row, error) {
-	maxStates := space.MaxStates()
-	if workers := parbfs.Workers(); workers > 1 && len(systems) > 1 {
-		return table3OnTheFlyPar(systems, workers, maxStates)
-	}
-	var rows []Table3Row
-	for _, sys := range systems {
-		res, err := checkLazy(sys.Alg, sys.CM, Props, 1, guard.Process(nil, maxStates), true)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]})
-	}
-	return rows, nil
-}
-
-// table3OnTheFlyPar fans the rows out over the worker pool; per-row obs
-// phases are skipped (the phase stack assumes a single-threaded spine)
-// but counters and rows match the sequential driver.
-func table3OnTheFlyPar(systems []System, workers, maxStates int) ([]Table3Row, error) {
-	done := obs.Phase("liveness:table3-onthefly-parallel")
-	defer done()
-	rows := make([]Table3Row, len(systems))
-	errs := make([]error, len(systems))
-	parbfs.For(len(systems), workers, func(i int) {
-		sys := systems[i]
-		res, err := checkLazy(sys.Alg, sys.CM, Props, 1, guard.Process(nil, maxStates), false)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		rows[i] = Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// Table3Materialized is Table3 through the materialized engine. Without
-// a global -maxstates budget it is exactly Table3 (shared per-row
-// exploration, row fan-out at workers > 1). With a budget set, each
-// row's exploration goes through explore.BuildBudget instead, and a
-// typed *space.BudgetError aborts the table, matching the on-the-fly
-// driver's contract.
-func Table3Materialized(systems []System) ([]Table3Row, error) {
-	maxStates := space.MaxStates()
-	if maxStates <= 0 {
-		return Table3(systems), nil
-	}
-	workers := parbfs.Workers()
-	if workers > 1 && len(systems) > 1 {
-		done := obs.Phase("liveness:table3-parallel")
-		defer done()
-		rows := make([]Table3Row, len(systems))
-		errs := make([]error, len(systems))
-		parbfs.For(len(systems), workers, func(i int) {
-			rows[i], errs[i] = table3RowBudget(systems[i], 1, maxStates)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return rows, nil
-	}
-	var rows []Table3Row
-	for _, sys := range systems {
-		row, err := table3RowBudget(sys, workers, maxStates)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// table3RowBudget materializes one system under the state budget and
-// runs the three checks on it.
-func table3RowBudget(sys System, workers, maxStates int) (Table3Row, error) {
-	buildStart := time.Now()
-	ts, err := explore.BuildBudget(sys.Alg, sys.CM, workers, maxStates)
-	if err != nil {
-		return Table3Row{}, err
-	}
-	row := Table3Row{
-		Obstruction: CheckObstructionFreedom(ts),
-		Livelock:    CheckLivelockFreedom(ts),
-		Wait:        CheckWaitFreedom(ts),
-	}
-	row.Obstruction.BuildElapsed = time.Since(buildStart)
-	return row, nil
 }
 
 // systemName names the system without constructing anything.

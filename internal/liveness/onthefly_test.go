@@ -3,6 +3,7 @@ package liveness
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/explore"
@@ -17,7 +18,7 @@ import (
 // (run race-enabled in CI, so the parallel scans are exercised too).
 func TestLivenessEngineAgreement(t *testing.T) {
 	for _, sys := range PaperSystems(2, 1) {
-		ts := explore.Build(sys.Alg, sys.CM)
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		name := ts.Name()
 		for _, p := range Props {
 			mat := checkTS(ts, p)
@@ -55,7 +56,7 @@ func TestLivenessEngineAgreement(t *testing.T) {
 // driver resolves each property exactly as three independent checks do.
 func TestCheckAllOnTheFlySharesExploration(t *testing.T) {
 	for _, sys := range PaperSystems(2, 1) {
-		row, err := CheckAllOnTheFly(sys.Alg, sys.CM)
+		row, err := CheckAllOnTheFlyOpts(sys.Alg, sys.CM, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestLivenessBudgetBothEngines(t *testing.T) {
 		if _, err := checkLazy(sys.Alg, sys.CM, Props, workers, guard.New(nil, 2, 0), false); !errors.Is(err, space.ErrBudgetExceeded) {
 			t.Errorf("onthefly workers=%d: err = %v, want budget error", workers, err)
 		}
-		if _, err := explore.BuildBudget(sys.Alg, sys.CM, workers, 2); !errors.Is(err, space.ErrBudgetExceeded) {
+		if _, err := explore.BuildGuarded(sys.Alg, sys.CM, workers, guard.New(nil, 2, 0), nil); !errors.Is(err, space.ErrBudgetExceeded) {
 			t.Errorf("materialized workers=%d: err = %v, want budget error", workers, err)
 		}
 	}
@@ -108,30 +109,12 @@ func TestLivenessBudgetBothEngines(t *testing.T) {
 	}
 }
 
-// TestTable3DriversBudget checks that both table drivers honor the
-// process-wide -maxstates knob instead of silently ignoring it — the
-// bug this engine was built to fix.
-func TestTable3DriversBudget(t *testing.T) {
-	prev := space.MaxStates()
-	defer space.SetMaxStates(prev)
-	space.SetMaxStates(2)
-	if _, err := Table3OnTheFly(PaperSystems(2, 1)); !errors.Is(err, space.ErrBudgetExceeded) {
-		t.Errorf("Table3OnTheFly: err = %v, want budget error", err)
-	}
-	if _, err := Table3Materialized(PaperSystems(2, 1)); !errors.Is(err, space.ErrBudgetExceeded) {
-		t.Errorf("Table3Materialized: err = %v, want budget error", err)
-	}
-}
-
 // TestTable3EnginesAgree compares full Table 3 rows across the two
-// unbudgeted drivers.
+// engines of the unbudgeted driver.
 func TestTable3EnginesAgree(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	otf, err := Table3OnTheFly(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := Table3(systems)
+	otf := Table3(systems, space.EngineOnTheFly, Options{})
+	mat := Table3(systems, space.EngineMaterialized, Options{})
 	if len(otf) != len(mat) {
 		t.Fatalf("row counts differ: %d vs %d", len(otf), len(mat))
 	}

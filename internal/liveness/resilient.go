@@ -1,7 +1,6 @@
 package liveness
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -12,52 +11,44 @@ import (
 	"tmcheck/internal/space"
 )
 
-// Table3Resilient is the keep-going Table 3 driver of cmd/tmcheck:
-// every row runs under ctx (deadline and Ctrl-C) plus the process-wide
-// -maxstates and -maxmem limits, and a row that hits a limit — or
-// panics inside the TM algorithm — reports what it learned instead of
+// Table3 reproduces the paper's Table 3 on the given systems with the
+// selected engine: each row checks obstruction, livelock and wait
+// freedom. It keeps going: every row runs under the options' context,
+// state budget and heap cap, and a row that hits a limit — or panics
+// inside the TM algorithm — reports what it learned instead of
 // aborting the table. With the on-the-fly engine a limited row keeps
 // the violations its probes found before the stop and marks only the
 // unresolved properties with Result.Limit; with the materialized
 // engine a limited build marks all three.
-func Table3Resilient(ctx context.Context, systems []System, engine space.Engine) []Table3Row {
-	return Table3ResilientOpts(systems, engine, Options{Ctx: ctx})
-}
-
-// Table3ResilientOpts is Table3Resilient with explicit options: unset
-// budgets resolve from the process-wide knobs (so the CLI path is
-// unchanged), while a fully-specified Options scopes every limit to
-// this table — the tmcheckd path, which also sets NoPhases because it
-// runs tables concurrently.
-func Table3ResilientOpts(systems []System, engine space.Engine, opts Options) []Table3Row {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parbfs.Workers()
-	}
+//
+// Each row explores with one worker, and with more than one worker
+// the rows fan out over the pool — the coarser parallelism — so rows
+// are bit-identical for every worker count. Per-row obs phases open
+// only on the sequential spine; the phase stack assumes a single
+// thread.
+func Table3(systems []System, engine space.Engine, opts Options) []Table3Row {
+	workers := parbfs.ResolveWorkers(opts.Workers)
+	phase := !opts.NoPhases
 	if workers > 1 && len(systems) > 1 {
-		if !opts.NoPhases {
-			phase := "liveness:table3-onthefly-parallel"
+		if phase {
+			name := "liveness:table3-onthefly-parallel"
 			if engine == space.EngineMaterialized {
-				phase = "liveness:table3-parallel"
+				name = "liveness:table3-parallel"
 			}
-			done := obs.Phase(phase)
+			done := obs.Phase(name)
 			defer done()
 		}
-		rows := make([]Table3Row, len(systems))
-		parbfs.For(len(systems), workers, func(i int) {
-			rows[i] = table3ResilientRow(systems[i], engine, false, opts)
-		})
-		return rows
+		phase = false
 	}
-	rows := make([]Table3Row, 0, len(systems))
-	for _, sys := range systems {
-		rows = append(rows, table3ResilientRow(sys, engine, !opts.NoPhases, opts))
-	}
+	rows := make([]Table3Row, len(systems))
+	parbfs.For(len(systems), workers, func(i int) {
+		rows[i] = table3Row(systems[i], engine, phase, opts)
+	})
 	return rows
 }
 
-// table3ResilientRow runs one guarded row with the selected engine.
-func table3ResilientRow(sys System, engine space.Engine, phase bool, opts Options) Table3Row {
+// table3Row runs one guarded row with the selected engine.
+func table3Row(sys System, engine space.Engine, phase bool, opts Options) Table3Row {
 	g := opts.guard()
 	if engine == space.EngineOnTheFly {
 		res, err := checkLazy(sys.Alg, sys.CM, Props, 1, g, phase)
@@ -70,7 +61,7 @@ func table3ResilientRow(sys System, engine space.Engine, phase bool, opts Option
 		return row
 	}
 	buildStart := time.Now()
-	ts, err := explore.BuildProviderGuarded(sys.Alg, sys.CM, 1, g, opts.Persist)
+	ts, err := explore.BuildGuarded(sys.Alg, sys.CM, 1, g, opts.Persist)
 	buildElapsed := time.Since(buildStart)
 	if err != nil {
 		row := limitedRow(sys, space.EngineMaterialized, buildElapsed, err)

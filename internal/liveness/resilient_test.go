@@ -3,10 +3,12 @@ package liveness
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"tmcheck/internal/core"
+	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
@@ -34,39 +36,31 @@ func cells(row Table3Row) []Result {
 	return []Result{row.Obstruction, row.Livelock, row.Wait}
 }
 
-// TestTable3ResilientMatchesFailFast checks the keep-going driver is a
-// strict generalization: without limits it reproduces the fail-fast
-// drivers' rows exactly, in both engines, with no Limit set.
+// TestTable3ResilientMatchesFailFast checks that without limits the
+// keep-going driver resolves every cell, that both engines agree on
+// every verdict and loop word, and that the materialized rows report
+// the full system size.
 func TestTable3ResilientMatchesFailFast(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	otfWant, err := Table3OnTheFly(systems)
-	if err != nil {
-		t.Fatal(err)
+	otf := Table3(systems, space.EngineOnTheFly, Options{})
+	mat := Table3(systems, space.EngineMaterialized, Options{})
+	if len(otf) != len(systems) || len(mat) != len(systems) {
+		t.Fatalf("%d on-the-fly and %d materialized rows, want %d", len(otf), len(mat), len(systems))
 	}
-	matWant := Table3(systems)
-	for _, tc := range []struct {
-		engine space.Engine
-		want   []Table3Row
-	}{
-		{space.EngineOnTheFly, otfWant},
-		{space.EngineMaterialized, matWant},
-	} {
-		got := Table3Resilient(context.Background(), systems, tc.engine)
-		if len(got) != len(tc.want) {
-			t.Fatalf("engine %v: %d rows, want %d", tc.engine, len(got), len(tc.want))
-		}
-		for i := range got {
-			gs, ws := cells(got[i]), cells(tc.want[i])
-			for j := range gs {
-				g, w := gs[j], ws[j]
-				if g.Limit != nil {
-					t.Errorf("engine %v: %s %v unexpectedly limited: %v", tc.engine, g.System, g.Prop, g.Limit)
-				}
-				if g.Holds != w.Holds || g.LoopWord() != w.LoopWord() || g.TMStates != w.TMStates {
-					t.Errorf("engine %v: %s %v = (%v, %q, %d states), fail-fast (%v, %q, %d states)",
-						tc.engine, g.System, g.Prop, g.Holds, g.LoopWord(), g.TMStates,
-						w.Holds, w.LoopWord(), w.TMStates)
-				}
+	for i, sys := range systems {
+		size := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0)).NumStates()
+		otfCells, matCells := cells(otf[i]), cells(mat[i])
+		for j := range otfCells {
+			o, m := otfCells[j], matCells[j]
+			if o.Limit != nil || m.Limit != nil {
+				t.Errorf("%s %v unexpectedly limited: on-the-fly %v, materialized %v", o.System, o.Prop, o.Limit, m.Limit)
+			}
+			if o.Holds != m.Holds || o.LoopWord() != m.LoopWord() {
+				t.Errorf("%s %v: on-the-fly (%v, %q), materialized (%v, %q)",
+					o.System, o.Prop, o.Holds, o.LoopWord(), m.Holds, m.LoopWord())
+			}
+			if m.TMStates != size {
+				t.Errorf("%s %v: materialized size %d, built system has %d states", m.System, m.Prop, m.TMStates, size)
 			}
 		}
 	}
@@ -78,11 +72,9 @@ func TestTable3ResilientMatchesFailFast(t *testing.T) {
 // engine, violations the probes found before the stop keep their full
 // Results (partial rows, the heart of keep-going liveness).
 func TestTable3ResilientKeepsGoing(t *testing.T) {
-	prev := space.MaxStates()
-	defer space.SetMaxStates(prev)
-	space.SetMaxStates(50)
+	budget := Options{MaxStates: 50}
 	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
-		rows := Table3Resilient(context.Background(), PaperSystems(2, 1), engine)
+		rows := Table3(PaperSystems(2, 1), engine, budget)
 		if len(rows) != 4 {
 			t.Fatalf("engine %v: %d rows, want 4", engine, len(rows))
 		}
@@ -107,7 +99,7 @@ func TestTable3ResilientKeepsGoing(t *testing.T) {
 	// the 50-state budget before obstruction freedom's fixpoint, but its
 	// livelock violation is found by an earlier probe and must survive
 	// with its loop word.
-	rows := Table3Resilient(context.Background(), PaperSystems(2, 1), space.EngineOnTheFly)
+	rows := Table3(PaperSystems(2, 1), space.EngineOnTheFly, budget)
 	dstm := rows[2]
 	if dstm.Obstruction.Limit == nil {
 		t.Fatalf("dstm obstruction = %+v, want limited", dstm.Obstruction)
@@ -132,7 +124,7 @@ func TestTable3ResilientIsolatesPanicTM(t *testing.T) {
 	}
 	systems := []System{{Alg: tm.NewSeq(2, 1)}, {Alg: broken, CM: tm.Aggressive{}}}
 	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
-		rows := Table3Resilient(context.Background(), systems, engine)
+		rows := Table3(systems, engine, Options{})
 		if len(rows) != 2 {
 			t.Fatalf("engine %v: %d rows, want 2", engine, len(rows))
 		}

@@ -1,6 +1,7 @@
 package liveness
 
 import (
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/explore"
@@ -25,7 +26,7 @@ func TestStreettBackendAgreesWithLoopSearch(t *testing.T) {
 		}
 	}
 	for _, sys := range systems {
-		ts := explore.Build(sys.Alg, sys.CM)
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		loopOF := CheckObstructionFreedom(ts)
 		strOF := CheckObstructionFreedomStreett(ts)
 		if loopOF.Holds != strOF.Holds {
@@ -104,7 +105,7 @@ func validateLivelockLoop(t *testing.T, name string, res Result) {
 func TestStreettBackendLargerInstances(t *testing.T) {
 	for _, dims := range [][2]int{{2, 2}, {3, 1}} {
 		for _, sys := range PaperSystems(dims[0], dims[1]) {
-			ts := explore.Build(sys.Alg, sys.CM)
+			ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 			if a, b := CheckObstructionFreedom(ts), CheckObstructionFreedomStreett(ts); a.Holds != b.Holds {
 				t.Errorf("%s at %v: obstruction loop=%v streett=%v", ts.Name(), dims, a.Holds, b.Holds)
 			}

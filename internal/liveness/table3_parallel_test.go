@@ -3,15 +3,17 @@ package liveness
 import (
 	"reflect"
 	"testing"
+
+	"tmcheck/internal/space"
 )
 
-// TestTable3ParallelMatchesSequential drives the concurrent Table 3
-// path explicitly and checks the rows — verdicts and counterexample
-// loops — against the sequential driver.
+// TestTable3ParallelMatchesSequential checks the materialized Table 3
+// rows — verdicts, sizes and counterexample lassos — with the rows
+// fanned out over four workers against one worker.
 func TestTable3ParallelMatchesSequential(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	seq := table3Seq(systems)
-	par := table3Par(systems, 4)
+	seq := Table3(systems, space.EngineMaterialized, Options{Workers: 1})
+	par := Table3(systems, space.EngineMaterialized, Options{Workers: 4})
 	if len(par) != len(seq) {
 		t.Fatalf("row count: parallel %d, sequential %d", len(par), len(seq))
 	}

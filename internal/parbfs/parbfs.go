@@ -17,10 +17,9 @@
 // order is deterministic too, because a single worker expands each
 // state and emissions are resolved positionally.
 //
-// The package also owns the process-wide worker-count knob surfaced as
-// the -workers flag of cmd/tmcheck: Workers() defaults to GOMAXPROCS
-// and SetWorkers overrides it; one worker selects the callers' plain
-// sequential code paths.
+// Worker counts are passed down explicitly by every caller; one worker
+// selects the callers' plain sequential code paths, and ResolveWorkers
+// maps an unset (<= 0) count to GOMAXPROCS.
 package parbfs
 
 import (
@@ -36,27 +35,13 @@ import (
 	"tmcheck/internal/obs"
 )
 
-// defaultWorkers is the process-wide worker count; 0 means "use
-// GOMAXPROCS".
-var defaultWorkers atomic.Int32
-
-// Workers returns the process-wide worker count for the parallel
-// engines: the value installed by SetWorkers, or GOMAXPROCS.
-func Workers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
+// ResolveWorkers returns workers, or GOMAXPROCS when workers <= 0: the
+// default every front-end applies to an unset -workers value.
+func ResolveWorkers(workers int) int {
+	if workers > 0 {
+		return workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers installs the process-wide worker count. n < 1 resets to
-// the GOMAXPROCS default. One worker makes every engine take its exact
-// sequential code path.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
 }
 
 // Stats reports the work profile of one Run, for the observability

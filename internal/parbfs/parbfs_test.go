@@ -2,6 +2,7 @@ package parbfs
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -92,15 +93,14 @@ func TestRunMatchesSequentialBFS(t *testing.T) {
 	}
 }
 
-func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
+func TestResolveWorkers(t *testing.T) {
+	if got := ResolveWorkers(3); got != 3 {
+		t.Errorf("ResolveWorkers(3) = %d", got)
 	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after reset", Workers())
+	for _, unset := range []int{0, -1} {
+		if got := ResolveWorkers(unset); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("ResolveWorkers(%d) = %d, want GOMAXPROCS %d", unset, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -86,7 +87,7 @@ func TestStructuralPropertiesOfPaperTMs(t *testing.T) {
 		{tm.NewTL2(2, 2), nil},
 	}
 	for _, sys := range systems {
-		ts := explore.Build(sys.alg, sys.cm)
+		ts := explore.BuildWorkers(sys.alg, sys.cm, runtime.GOMAXPROCS(0))
 		s := NewSampler(ts, 42)
 		if v := s.CheckAll(); v != nil {
 			t.Errorf("%s: %v", ts.Name(), v)
@@ -103,7 +104,7 @@ func TestStructuralPropertiesOfPaperTMs(t *testing.T) {
 // stateless managers.
 func TestStatelessManagersPreserveP1(t *testing.T) {
 	for _, cm := range []tm.ContentionManager{tm.Aggressive{}, tm.Polite{}} {
-		ts := explore.Build(tm.NewDSTM(2, 2), cm)
+		ts := explore.BuildWorkers(tm.NewDSTM(2, 2), cm, runtime.GOMAXPROCS(0))
 		s := NewSampler(ts, 43)
 		if v := s.CheckP1(); v != nil {
 			t.Errorf("dstm+%s: %v", cm.Name(), v)
@@ -113,7 +114,7 @@ func TestStatelessManagersPreserveP1(t *testing.T) {
 
 func TestUnfinishedCommutativitySamples(t *testing.T) {
 	for _, alg := range []tm.Algorithm{tm.NewSeq(2, 2), tm.NewTwoPL(2, 2), tm.NewDSTM(2, 2), tm.NewTL2(2, 2)} {
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		s := NewSampler(ts, 44)
 		if v := s.CheckUnfinishedCommutative(); v != nil {
 			t.Errorf("%s: %v", alg.Name(), v)
@@ -163,7 +164,7 @@ func TestViolationError(t *testing.T) {
 // for the paper's TMs.
 func TestLivenessStructuralProperties(t *testing.T) {
 	for _, alg := range []tm.Algorithm{tm.NewSeq(2, 2), tm.NewTwoPL(2, 2), tm.NewDSTM(2, 2), tm.NewTL2(2, 2)} {
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		s := NewSampler(ts, 45)
 		if v := s.CheckP5(); v != nil {
 			t.Errorf("%s: %v", alg.Name(), v)
@@ -178,7 +179,7 @@ func TestLivenessStructuralProperties(t *testing.T) {
 // holds on samples.
 func TestCommitCommutativitySamples(t *testing.T) {
 	for _, alg := range []tm.Algorithm{tm.NewSeq(2, 2), tm.NewTwoPL(2, 2), tm.NewDSTM(2, 2), tm.NewTL2(2, 2)} {
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		s := NewSampler(ts, 46)
 		if v := s.CheckCommitCommutative(); v != nil {
 			t.Errorf("%s: %v", alg.Name(), v)

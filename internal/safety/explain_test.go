@@ -10,7 +10,7 @@ import (
 )
 
 func TestExplainOnFailure(t *testing.T) {
-	res := Verify(tm.NewTL2Mod(2, 2), tm.Polite{}, spec.StrictSerializability)
+	res := verify(t, tm.NewTL2Mod(2, 2), tm.Polite{}, spec.StrictSerializability)
 	if res.Holds {
 		t.Fatal("expected failure")
 	}
@@ -35,7 +35,7 @@ func TestExplainOnFailure(t *testing.T) {
 }
 
 func TestExplainOnSuccess(t *testing.T) {
-	res := Verify(tm.NewSeq(2, 2), nil, spec.Opacity)
+	res := verify(t, tm.NewSeq(2, 2), nil, spec.Opacity)
 	if !res.Holds {
 		t.Fatal("expected success")
 	}
@@ -61,7 +61,7 @@ func TestExplainEmptyCounterexample(t *testing.T) {
 // TestExplainHoldingResultWithWord: a holding result renders empty even
 // if a counterexample word was (wrongly) left populated — Holds wins.
 func TestExplainHoldingResultWithWord(t *testing.T) {
-	res := Verify(tm.NewSeq(2, 2), nil, spec.StrictSerializability)
+	res := verify(t, tm.NewSeq(2, 2), nil, spec.StrictSerializability)
 	if !res.Holds {
 		t.Fatal("expected seq to hold")
 	}
@@ -93,7 +93,7 @@ func TestExplainAcyclicWord(t *testing.T) {
 }
 
 func TestExplainOpacityCycle(t *testing.T) {
-	res := Verify(tm.NewDSTMNoValidate(2, 2), nil, spec.Opacity)
+	res := verify(t, tm.NewDSTMNoValidate(2, 2), nil, spec.Opacity)
 	if res.Holds {
 		t.Fatal("expected failure for dstm-novalidate")
 	}

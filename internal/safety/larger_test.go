@@ -2,6 +2,7 @@ package safety
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -29,7 +30,7 @@ func TestSafetyLargerInstances(t *testing.T) {
 		{tm.NewDSTM(2, 3)},
 	}
 	for _, c := range cases {
-		res := Verify(c.alg, nil, spec.Opacity)
+		res := verify(t, c.alg, nil, spec.Opacity)
 		if !res.Holds {
 			t.Errorf("%s at (%d,%d): opacity fails with cex %q",
 				res.System, res.Threads, res.Vars, res.Counterexample)
@@ -44,7 +45,7 @@ func TestModTL2BrokenAtLargerInstance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger instances are slow")
 	}
-	res := Verify(tm.NewTL2Mod(2, 3), tm.Polite{}, spec.StrictSerializability)
+	res := verify(t, tm.NewTL2Mod(2, 3), tm.Polite{}, spec.StrictSerializability)
 	if res.Holds {
 		t.Error("modified TL2 should stay broken at (2,3)")
 	}
@@ -57,7 +58,7 @@ func TestModTL2BrokenAtLargerInstance(t *testing.T) {
 // order every conflicting pair of accesses, so the statement-level
 // conflict relation is already acyclic. Sampled over random walks.
 func TestTwoPLDirectUpdateSafe(t *testing.T) {
-	ts := explore.Build(tm.NewTwoPL(2, 2), nil)
+	ts := explore.BuildWorkers(tm.NewTwoPL(2, 2), nil, runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 300; i++ {
 		w := randomWalkWord(rng, ts, 14)
@@ -72,7 +73,7 @@ func TestTwoPLDirectUpdateSafe(t *testing.T) {
 // write statement preceded the read. Find one witness to show the
 // semantics genuinely differ on TM languages.
 func TestDeferredTMsNotDirectUpdateSafe(t *testing.T) {
-	ts := explore.Build(tm.NewTL2(2, 2), nil)
+	ts := explore.BuildWorkers(tm.NewTL2(2, 2), nil, runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 2000; i++ {
 		w := randomWalkWord(rng, ts, 12)

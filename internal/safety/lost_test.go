@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -17,8 +18,8 @@ func TestLostConcurrencyWitnesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := explore.Build(alg, nil)
-		w, ok := LostConcurrency(ts, spec.Opacity)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
+		w, ok := LostConcurrency(ts, spec.Opacity, runtime.GOMAXPROCS(0))
 		if !ok {
 			t.Errorf("%s: no lost-concurrency witness found (maximally permissive?)", name)
 			continue
@@ -36,8 +37,8 @@ func TestLostConcurrencyWitnesses(t *testing.T) {
 // The sequential TM's lost concurrency is the most basic: any overlap of
 // two transactions. Its witness must be very short.
 func TestSeqLosesOverlapImmediately(t *testing.T) {
-	ts := explore.Build(tm.NewSeq(2, 2), nil)
-	w, ok := LostConcurrency(ts, spec.Opacity)
+	ts := explore.BuildWorkers(tm.NewSeq(2, 2), nil, runtime.GOMAXPROCS(0))
+	w, ok := LostConcurrency(ts, spec.Opacity, runtime.GOMAXPROCS(0))
 	if !ok {
 		t.Fatal("no witness")
 	}
@@ -50,8 +51,8 @@ func TestSeqLosesOverlapImmediately(t *testing.T) {
 // here for the modified-TL2 counterexample, whose run must pass through
 // rvalidate and chklock with a commit in between.
 func TestWitnessRunForCounterexample(t *testing.T) {
-	ts := explore.Build(tm.NewTL2Mod(2, 2), tm.Polite{})
-	res := Check(ts, spec.StrictSerializability)
+	ts := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
+	res := Check(ts, spec.StrictSerializability, runtime.GOMAXPROCS(0))
 	if res.Holds {
 		t.Fatal("expected counterexample")
 	}
@@ -79,7 +80,7 @@ func TestWitnessRunForCounterexample(t *testing.T) {
 }
 
 func TestWitnessRunRejectsForeignWords(t *testing.T) {
-	ts := explore.Build(tm.NewTwoPL(2, 2), nil)
+	ts := explore.BuildWorkers(tm.NewTwoPL(2, 2), nil, runtime.GOMAXPROCS(0))
 	// 2PL can never emit two commits of overlapping writers to the same
 	// variable in this order without releasing locks.
 	w := core.MustParseWord("(w,1)1, (w,1)2, c1, c2")

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/explore"
@@ -17,9 +18,9 @@ import (
 // are opaque for all programs.
 func TestNewTMsSafety(t *testing.T) {
 	for _, alg := range []tm.Algorithm{tm.NewNOrec(2, 2), tm.NewETL(2, 2)} {
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			res := Check(ts, prop)
+			res := Check(ts, prop, runtime.GOMAXPROCS(0))
 			if !res.Holds {
 				t.Errorf("%s: %v fails with cex %q", alg.Name(), prop, res.Counterexample)
 			}
@@ -34,7 +35,7 @@ func TestNewTMsSafetyWithManagers(t *testing.T) {
 			func() tm.Algorithm { return tm.NewNOrec(2, 2) },
 			func() tm.Algorithm { return tm.NewETL(2, 2) },
 		} {
-			res := Verify(mk(), cm, spec.Opacity)
+			res := verify(t, mk(), cm, spec.Opacity)
 			if !res.Holds {
 				t.Errorf("%s: opacity fails with cex %q", res.System, res.Counterexample)
 			}
@@ -50,7 +51,7 @@ func TestNewTMsLiveness(t *testing.T) {
 		func() tm.Algorithm { return tm.NewNOrec(2, 1) },
 		func() tm.Algorithm { return tm.NewETL(2, 1) },
 	} {
-		ts := explore.Build(mk(), tm.Aggressive{})
+		ts := explore.BuildWorkers(mk(), tm.Aggressive{}, runtime.GOMAXPROCS(0))
 		if res := liveness.CheckObstructionFreedom(ts); res.Holds {
 			t.Errorf("%s: unexpectedly obstruction free", ts.Name())
 		}
@@ -64,7 +65,7 @@ func TestNewTMsLiveness(t *testing.T) {
 // theorem applies to the new TMs as well.
 func TestNewTMsStructuralProperties(t *testing.T) {
 	for _, alg := range []tm.Algorithm{tm.NewNOrec(2, 2), tm.NewETL(2, 2)} {
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		s := reduction.NewSampler(ts, 51)
 		if v := s.CheckAll(); v != nil {
 			t.Errorf("%s: %v", alg.Name(), v)

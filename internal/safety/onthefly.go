@@ -38,20 +38,15 @@ const (
 	EngineOnTheFly     = space.EngineOnTheFly
 )
 
-// ParseEngine parses an -engine flag value.
-func ParseEngine(s string) (Engine, error) { return space.ParseEngine(s) }
-
-// Options configures VerifyOpts.
+// Options configures VerifyOpts and Table2.
 type Options struct {
-	// Workers is the worker count; <= 0 takes the process-wide
-	// parbfs.Workers(). One worker runs the plain sequential engines.
+	// Workers is the worker count; <= 0 means GOMAXPROCS. One worker
+	// runs the plain sequential engines.
 	Workers int
 	// MaxStates bounds the total states constructed (see VerifyOpts);
-	// <= 0 takes the process-wide space.MaxStates(), where 0 means
-	// unbounded.
+	// <= 0 means unbounded.
 	MaxStates int
-	// MaxMem is the heap cap in bytes; 0 takes the process-wide
-	// guard.MaxMem(), where 0 means uncapped.
+	// MaxMem is the heap cap in bytes; 0 means uncapped.
 	MaxMem uint64
 	// Engine selects the pipeline; the zero value is EngineMaterialized.
 	Engine Engine
@@ -70,24 +65,15 @@ type Options struct {
 	Persist explore.PersistProvider
 }
 
-// guard builds one check's guard from the options, resolving unset
-// budgets from the process-wide knobs.
+// guard builds one check's guard from the options.
 func (opts Options) guard() *guard.Guard {
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = space.MaxStates()
-	}
-	maxMem := opts.MaxMem
-	if maxMem == 0 {
-		maxMem = guard.MaxMem()
-	}
-	return guard.New(opts.Ctx, maxStates, maxMem)
+	return guard.New(opts.Ctx, opts.MaxStates, opts.MaxMem)
 }
 
 // VerifyOpts checks L(alg×cm) ⊆ L(Σd prop) with the selected engine.
 //
-// A positive state budget (Options.MaxStates or the process-wide
-// -maxstates knob) bounds the total number of states constructed — TM
+// A positive state budget (Options.MaxStates) bounds the total number
+// of states constructed — TM
 // states + spec states + product pairs for the on-the-fly engine; TM
 // states, then the full spec DFA, then inclusion pairs cumulatively for
 // the materialized one — and the check stops with a *space.BudgetError
@@ -100,10 +86,7 @@ func (opts Options) guard() *guard.Guard {
 // by letter, matching the product order of the materialized inclusion
 // check — TestEngineAgreement asserts this across the registry).
 func VerifyOpts(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, opts Options) (Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parbfs.Workers()
-	}
+	workers := parbfs.ResolveWorkers(opts.Workers)
 	g := opts.guard()
 	if opts.Engine == EngineOnTheFly {
 		if opts.Persist != nil {
@@ -112,12 +95,6 @@ func VerifyOpts(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, o
 		return checkOnTheFly(alg, cm, prop, workers, g, !opts.NoPhases)
 	}
 	return verifyMaterialized(alg, cm, prop, workers, g, !opts.NoPhases, opts.Persist)
-}
-
-// CheckOnTheFly verifies the TM with the on-the-fly engine at the
-// process-wide worker count and state budget.
-func CheckOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property) (Result, error) {
-	return VerifyOpts(alg, cm, prop, Options{Engine: EngineOnTheFly})
 }
 
 // checkEvents brackets one inclusion check on the telemetry bus:
@@ -160,7 +137,7 @@ func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Pro
 	defer func() { fin(res, err) }()
 	maxStates := g.MaxStates()
 	buildStart := time.Now()
-	ts, err := explore.BuildProviderGuarded(alg, cm, workers, g, prov)
+	ts, err := explore.BuildGuarded(alg, cm, workers, g, prov)
 	if err != nil {
 		return Result{}, err
 	}
@@ -574,87 +551,4 @@ func (r Result) recordOTF() {
 		obs.SetGauge(key+".early_exit_depth", int64(r.Inclusion.CexLen))
 	}
 	obs.AddTime(key+".search", r.Elapsed)
-}
-
-// Table2OnTheFly is Table2 with the on-the-fly engine. Each check runs
-// the sequential search; with the process-wide worker count above one,
-// the rows fan out over the pool instead (the coarser parallelism, as
-// in Table2) — so rows are bit-identical for every worker count,
-// including the early-exit sizes of failing rows, which the
-// level-synchronized parallel search would report differently (see
-// otfPar). A budget error on any row aborts the table.
-func Table2OnTheFly(systems []System) ([]Table2Row, error) {
-	maxStates := space.MaxStates()
-	if workers := parbfs.Workers(); workers > 1 && len(systems) > 1 {
-		return table2OnTheFlyPar(systems, workers, maxStates)
-	}
-	var rows []Table2Row
-	for _, sys := range systems {
-		ss, err := checkOnTheFly(sys.Alg, sys.CM, spec.StrictSerializability, 1, guard.Process(nil, maxStates), true)
-		if err != nil {
-			return nil, err
-		}
-		op, err := checkOnTheFly(sys.Alg, sys.CM, spec.Opacity, 1, guard.Process(nil, maxStates), true)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table2Row{SS: ss, OP: op})
-	}
-	return rows, nil
-}
-
-// Table2Materialized is Table2 through the materialized engine. Without
-// a global -maxstates budget it is exactly Table2 (shared spec
-// enumeration, row fan-out at workers > 1). With a budget set, the rows
-// go through the budgeted per-check pipeline instead — each check
-// charges its own TM build, spec enumeration, and inclusion against the
-// budget, and a typed *space.BudgetError aborts the table, matching the
-// on-the-fly driver's contract.
-func Table2Materialized(systems []System) ([]Table2Row, error) {
-	if space.MaxStates() <= 0 {
-		return Table2(systems), nil
-	}
-	var rows []Table2Row
-	for _, sys := range systems {
-		ss, err := VerifyOpts(sys.Alg, sys.CM, spec.StrictSerializability, Options{Engine: EngineMaterialized})
-		if err != nil {
-			return nil, err
-		}
-		op, err := VerifyOpts(sys.Alg, sys.CM, spec.Opacity, Options{Engine: EngineMaterialized})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table2Row{SS: ss, OP: op})
-	}
-	return rows, nil
-}
-
-// table2OnTheFlyPar fans the rows out over the worker pool; per-row obs
-// phases are skipped (the phase stack assumes a single-threaded spine)
-// but counters and rows match the sequential driver.
-func table2OnTheFlyPar(systems []System, workers, maxStates int) ([]Table2Row, error) {
-	done := obs.Phase("safety:table2-onthefly-parallel")
-	defer done()
-	rows := make([]Table2Row, len(systems))
-	errs := make([]error, len(systems))
-	parbfs.For(len(systems), workers, func(i int) {
-		sys := systems[i]
-		ss, err := checkOnTheFly(sys.Alg, sys.CM, spec.StrictSerializability, 1, guard.Process(nil, maxStates), false)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		op, err := checkOnTheFly(sys.Alg, sys.CM, spec.Opacity, 1, guard.Process(nil, maxStates), false)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		rows[i] = Table2Row{SS: ss, OP: op}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
 }

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
@@ -77,7 +77,7 @@ func TestEngineAgreement(t *testing.T) {
 // polite manager must still yield its §5.4 counterexample through the
 // on-the-fly engine.
 func TestOnTheFlySmoke(t *testing.T) {
-	res, err := CheckOnTheFly(tm.NewTL2Mod(2, 2), tm.Polite{}, spec.StrictSerializability)
+	res, err := VerifyOpts(tm.NewTL2Mod(2, 2), tm.Polite{}, spec.StrictSerializability, Options{Engine: EngineOnTheFly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,49 +118,10 @@ func TestBudgetExceeded(t *testing.T) {
 	}
 }
 
-// TestBudgetGlobalKnob checks that VerifyOpts picks up the process-wide
-// space.SetMaxStates knob (the cmd/tmcheck -maxstates flag) when no
-// explicit option is set.
-func TestBudgetGlobalKnob(t *testing.T) {
-	space.SetMaxStates(40)
-	defer space.SetMaxStates(0)
-	_, err := CheckOnTheFly(tm.NewDSTM(2, 2), nil, spec.Opacity)
-	if !errors.Is(err, space.ErrBudgetExceeded) {
-		t.Fatalf("global -maxstates ignored: err = %v", err)
-	}
-}
-
-// TestTable2MaterializedBudget checks that the materialized table
-// driver honors the global -maxstates knob like the on-the-fly one: a
-// tiny budget aborts the table with a typed error, and without a budget
-// the rows are exactly Table2's.
-func TestTable2MaterializedBudget(t *testing.T) {
-	systems := PaperSystems(2, 1)
-
-	space.SetMaxStates(50)
-	_, err := Table2Materialized(systems)
-	space.SetMaxStates(0)
-	if !errors.Is(err, space.ErrBudgetExceeded) {
-		t.Fatalf("materialized table under a 50-state budget: err = %v", err)
-	}
-
-	rows, err := Table2Materialized(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Table2(systems)
-	for i := range want {
-		if rows[i].SS.Holds != want[i].SS.Holds || rows[i].SS.TMStates != want[i].SS.TMStates ||
-			!reflect.DeepEqual(rows[i].SS.Counterexample, want[i].SS.Counterexample) {
-			t.Errorf("row %d: unbudgeted Table2Materialized differs from Table2", i)
-		}
-	}
-}
-
 // TestOnTheFlyConstructsFewerSpecStates pins the laziness win through
 // the obs vitals: the on-the-fly engine reproduces the Table 2
 // verdicts at (2,2), and the spec states it constructs never exceed a
-// full spec.Enumerate — strictly fewer for every paper TM under strict
+// full spec enumeration — strictly fewer for every paper TM under strict
 // serializability, and strictly fewer under opacity except for the
 // permissive dstm and tl2, whose most-general-program product provably
 // reaches every opacity spec state (asserted as exact saturation so a
@@ -176,8 +137,8 @@ func TestOnTheFlyConstructsFewerSpecStates(t *testing.T) {
 	}()
 
 	full := map[string]int{
-		spec.StrictSerializability.Key(): spec.NewDet(spec.StrictSerializability, 2, 2).Enumerate().NumStates(),
-		spec.Opacity.Key():               spec.NewDet(spec.Opacity, 2, 2).Enumerate().NumStates(),
+		spec.StrictSerializability.Key(): spec.NewDet(spec.StrictSerializability, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0)).NumStates(),
+		spec.Opacity.Key():               spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0)).NumStates(),
 	}
 	// saturates marks the opacity checks whose product covers the whole
 	// specification (permissive TMs emit every statement order).
@@ -185,7 +146,7 @@ func TestOnTheFlyConstructsFewerSpecStates(t *testing.T) {
 	wantHolds := []bool{true, true, true, true, false}
 	for i, sys := range PaperSystems(2, 2) {
 		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			res, err := CheckOnTheFly(sys.Alg, sys.CM, prop)
+			res, err := VerifyOpts(sys.Alg, sys.CM, prop, Options{Engine: EngineOnTheFly})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +186,7 @@ func TestOnTheFlyBudgetHeadroom(t *testing.T) {
 	// Size the budget from the engines themselves: strictly between the
 	// on-the-fly total (pairs + TM + spec constructed at early exit) and
 	// the materialized total (TM + full spec + inclusion pairs).
-	otf, err := CheckOnTheFly(sys.Alg, sys.CM, prop)
+	otf, err := VerifyOpts(sys.Alg, sys.CM, prop, Options{Engine: EngineOnTheFly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +225,7 @@ func TestOnTheFlyBudgetHeadroom23(t *testing.T) {
 	}
 	sys := System{Alg: tm.NewTL2Mod(2, 3), CM: tm.Polite{}}
 	prop := spec.StrictSerializability
-	otf, err := CheckOnTheFly(sys.Alg, sys.CM, prop)
+	otf, err := VerifyOpts(sys.Alg, sys.CM, prop, Options{Engine: EngineOnTheFly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +246,6 @@ func TestOnTheFlyBudgetHeadroom23(t *testing.T) {
 	}
 }
 
-// TestTable2OnTheFly cross-checks the on-the-fly table driver against
-// the materialized one on the paper systems.
 // TestTable2OnTheFlyWorkerInvariance pins the verify invariant for the
 // on-the-fly table driver: every worker count yields bit-identical rows
 // — verdicts, counterexamples, AND the reported sizes of the failing
@@ -295,22 +254,8 @@ func TestOnTheFlyBudgetHeadroom23(t *testing.T) {
 // check, whose early-exit sizes are barrier-dependent).
 func TestTable2OnTheFlyWorkerInvariance(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	parbfsSet := func(n int) {
-		t.Helper()
-		parbfs.SetWorkers(n)
-	}
-	defer parbfs.SetWorkers(0)
-
-	parbfsSet(1)
-	seqRows, err := Table2OnTheFly(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parbfsSet(4)
-	parRows, err := Table2OnTheFly(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqRows := Table2(systems, Options{Workers: 1, Engine: EngineOnTheFly})
+	parRows := Table2(systems, Options{Workers: 4, Engine: EngineOnTheFly})
 	if len(parRows) != len(seqRows) {
 		t.Fatalf("row count: %d vs %d", len(parRows), len(seqRows))
 	}
@@ -342,15 +287,14 @@ func TestTable2OnTheFlyWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestTable2OnTheFly cross-checks the on-the-fly table driver against
+// the materialized one on the paper systems.
 func TestTable2OnTheFly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-table comparison skipped in -short")
 	}
-	matRows := Table2(PaperSystems(2, 2))
-	otfRows, err := Table2OnTheFly(PaperSystems(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	matRows := Table2(PaperSystems(2, 2), Options{Engine: EngineMaterialized})
+	otfRows := Table2(PaperSystems(2, 2), Options{Engine: EngineOnTheFly})
 	for i := range matRows {
 		if otfRows[i].SS.Holds != matRows[i].SS.Holds || otfRows[i].OP.Holds != matRows[i].OP.Holds {
 			t.Errorf("row %d: verdicts differ: otf (%v,%v) vs materialized (%v,%v)", i,

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/automata"
@@ -16,14 +17,14 @@ import (
 // fewest — shows up in the counts.
 func TestPermissivenessCounts(t *testing.T) {
 	const maxLen = 6
-	opCounts := automata.CountWords(spec.NewDet(spec.Opacity, 2, 2).Enumerate(), maxLen)
+	opCounts := automata.CountWords(spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0)), maxLen)
 	counts := map[string][]uint64{}
 	for _, name := range []string{"seq", "2pl", "dstm", "tl2"} {
 		alg, err := tm.NewAlgorithm(name, 2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := explore.Build(alg, nil)
+		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		c, ok := automata.CountWordsNFA(ts.NFA(), maxLen, 500000)
 		if !ok {
 			t.Fatalf("%s: subset construction exceeded bound", name)

@@ -1,7 +1,6 @@
 package safety
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -10,39 +9,26 @@ import (
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
 	"tmcheck/internal/parbfs"
-	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
 
-// Table2Resilient is the keep-going Table 2 driver of cmd/tmcheck:
-// every check runs under ctx (deadline and Ctrl-C) plus the
-// process-wide -maxstates and -maxmem limits, and a check that hits a
+// Table2 reproduces the paper's Table 2 on the given systems: for each,
+// the transition-system size and the verdicts for strict
+// serializability and opacity, with counterexamples, through the engine
+// opts.Engine selects. It keeps going: every check runs under the
+// options' context, state budget and heap cap, and a check that hits a
 // limit — or panics inside the TM algorithm — yields a Result whose
 // Limit field carries the *guard.LimitError instead of aborting the
 // table. The remaining checks still run, so one oversized or broken
-// system costs its own rows and nothing else.
-func Table2Resilient(ctx context.Context, systems []System, engine Engine) []Table2Row {
-	return Table2ResilientOpts(systems, engine, Options{Ctx: ctx})
-}
-
-// Table2ResilientOpts is Table2Resilient with explicit options: unset
-// budgets resolve from the process-wide knobs (so the CLI path is
-// unchanged), while a fully-specified Options scopes every limit to
-// this table — the tmcheckd path, which also sets NoPhases because it
-// runs tables concurrently.
-func Table2ResilientOpts(systems []System, engine Engine, opts Options) []Table2Row {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parbfs.Workers()
+// system costs its own rows and nothing else. Rows are identical for
+// every worker count.
+func Table2(systems []System, opts Options) []Table2Row {
+	workers := parbfs.ResolveWorkers(opts.Workers)
+	if opts.Engine == EngineOnTheFly {
+		return table2OnTheFly(systems, workers, opts)
 	}
-	if engine == EngineOnTheFly {
-		if workers > 1 && len(systems) > 1 {
-			return table2ResilientOTFPar(systems, workers, opts)
-		}
-		return table2ResilientOTFSeq(systems, opts)
-	}
-	return table2ResilientMat(systems, workers, opts)
+	return table2Materialized(systems, workers, opts)
 }
 
 // limitedResult wraps a check-stopping error into a row-renderable
@@ -94,75 +80,52 @@ func resilientCheck(run func() (Result, error), alg tm.Algorithm, cm tm.Contenti
 	return res
 }
 
-// table2ResilientOTFSeq checks the systems with the sequential
-// on-the-fly engine, one guarded check at a time, with the same obs
-// phase names as the fail-fast driver.
-func table2ResilientOTFSeq(systems []System, opts Options) []Table2Row {
-	rows := make([]Table2Row, 0, len(systems))
-	for _, sys := range systems {
-		row := Table2Row{}
-		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			prop := prop
-			res := resilientCheck(func() (Result, error) {
-				return checkOnTheFly(sys.Alg, sys.CM, prop, 1, opts.guard(), !opts.NoPhases)
-			}, sys.Alg, sys.CM, prop, EngineOnTheFly)
-			if prop == spec.StrictSerializability {
-				row.SS = res
-			} else {
-				row.OP = res
-			}
+// table2OnTheFly checks every row with the sequential on-the-fly
+// search. With more than one worker and row, the rows fan out over the
+// pool instead — the coarser parallelism — so rows are bit-identical
+// for every worker count, including the early-exit sizes of failing
+// rows, which the level-synchronized search would report differently
+// (see otfPar). Per-check obs phases open only on the sequential
+// spine; the phase stack assumes a single thread.
+func table2OnTheFly(systems []System, workers int, opts Options) []Table2Row {
+	phase := !opts.NoPhases
+	if workers > 1 && len(systems) > 1 {
+		if phase {
+			done := obs.Phase("safety:table2-onthefly-parallel")
+			defer done()
 		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// table2ResilientOTFPar fans the rows out over the worker pool;
-// per-row obs phases are skipped (the phase stack assumes a
-// single-threaded spine), matching the fail-fast parallel driver.
-func table2ResilientOTFPar(systems []System, workers int, opts Options) []Table2Row {
-	if !opts.NoPhases {
-		done := obs.Phase("safety:table2-onthefly-parallel")
-		defer done()
+		phase = false
 	}
 	rows := make([]Table2Row, len(systems))
 	parbfs.For(len(systems), workers, func(i int) {
 		sys := systems[i]
-		ss := resilientCheck(func() (Result, error) {
-			return checkOnTheFly(sys.Alg, sys.CM, spec.StrictSerializability, 1, opts.guard(), false)
-		}, sys.Alg, sys.CM, spec.StrictSerializability, EngineOnTheFly)
-		op := resilientCheck(func() (Result, error) {
-			return checkOnTheFly(sys.Alg, sys.CM, spec.Opacity, 1, opts.guard(), false)
-		}, sys.Alg, sys.CM, spec.Opacity, EngineOnTheFly)
-		rows[i] = Table2Row{SS: ss, OP: op}
+		check := func(prop spec.Property) Result {
+			return resilientCheck(func() (Result, error) {
+				return checkOnTheFly(sys.Alg, sys.CM, prop, 1, opts.guard(), phase)
+			}, sys.Alg, sys.CM, prop, EngineOnTheFly)
+		}
+		rows[i] = Table2Row{SS: check(spec.StrictSerializability), OP: check(spec.Opacity)}
 	})
 	return rows
 }
 
-// table2ResilientMat is the keep-going materialized driver. Without a
-// state budget it replicates the classic Table2 shape — one TM build
-// per row under "safety:<name>" / "build-tm" phases, deterministic
-// specifications enumerated once per (prop, n, k) under "build-spec:*"
-// and shared across rows, inclusions under "inclusion:*" — with the
-// guard threaded through every stage. With a budget set the rows go
-// through the per-check staged pipeline instead (each check charges
-// its own TM build, spec enumeration, and inclusion), matching the
-// historical budgeted semantics.
-func table2ResilientMat(systems []System, workers int, opts Options) []Table2Row {
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = space.MaxStates()
-	}
-	if maxStates > 0 {
-		perCheck := opts
-		perCheck.Engine = EngineMaterialized
+// table2Materialized is the materialized driver. Without a state
+// budget it builds each row's TM once under "safety:<name>" /
+// "build-tm" phases, enumerates the deterministic specifications once
+// per (prop, n, k) under "build-spec:*" and shares them across rows,
+// and runs the inclusions under "inclusion:*" — with the guard threaded
+// through every stage. With a budget set the rows go through the
+// per-check staged pipeline of VerifyOpts instead, each check charging
+// its own TM build, spec enumeration, and inclusion to the budget.
+func table2Materialized(systems []System, workers int, opts Options) []Table2Row {
+	if opts.MaxStates > 0 {
 		rows := make([]Table2Row, 0, len(systems))
 		for _, sys := range systems {
 			ss := resilientCheck(func() (Result, error) {
-				return VerifyOpts(sys.Alg, sys.CM, spec.StrictSerializability, perCheck)
+				return VerifyOpts(sys.Alg, sys.CM, spec.StrictSerializability, opts)
 			}, sys.Alg, sys.CM, spec.StrictSerializability, EngineMaterialized)
 			op := resilientCheck(func() (Result, error) {
-				return VerifyOpts(sys.Alg, sys.CM, spec.Opacity, perCheck)
+				return VerifyOpts(sys.Alg, sys.CM, spec.Opacity, opts)
 			}, sys.Alg, sys.CM, spec.Opacity, EngineMaterialized)
 			rows = append(rows, Table2Row{SS: ss, OP: op})
 		}
@@ -207,7 +170,7 @@ func table2ResilientMat(systems []System, workers int, opts Options) []Table2Row
 		doneSys := pf("safety:" + name)
 		doneBuild := pf("build-tm")
 		buildStart := time.Now()
-		ts, buildErr := explore.BuildProviderGuarded(sys.Alg, sys.CM, workers, opts.guard(), opts.Persist)
+		ts, buildErr := explore.BuildGuarded(sys.Alg, sys.CM, workers, opts.guard(), opts.Persist)
 		buildElapsed := time.Since(buildStart)
 		doneBuild()
 		if buildErr != nil {

@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"tmcheck/internal/core"
+	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
-	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
@@ -31,37 +32,30 @@ func (p panicAfter) Steps(q tm.State, c core.Command, t core.Thread) []tm.Step {
 	return p.Algorithm.Steps(q, c, t)
 }
 
-// TestTable2ResilientMatchesFailFast checks the keep-going driver is a
-// strict generalization: without limits it reproduces the fail-fast
-// drivers' verdicts exactly, in both engines, with no Limit set.
+// TestTable2ResilientMatchesFailFast checks that without limits the
+// keep-going driver resolves every check, that both engines agree on
+// every verdict and counterexample, and that the materialized rows
+// report the full system size of the paper's Size column.
 func TestTable2ResilientMatchesFailFast(t *testing.T) {
 	systems := PaperSystems(2, 2)
-	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
-		got := Table2Resilient(context.Background(), systems, engine)
-		var want []Table2Row
-		var err error
-		if engine == EngineOnTheFly {
-			want, err = Table2OnTheFly(systems)
-		} else {
-			want, err = Table2Materialized(systems)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("engine %v: %d rows, want %d", engine, len(got), len(want))
-		}
-		for i := range got {
-			for _, pair := range [][2]Result{{got[i].SS, want[i].SS}, {got[i].OP, want[i].OP}} {
-				g, w := pair[0], pair[1]
-				if g.Limit != nil {
-					t.Errorf("engine %v: %s %v unexpectedly limited: %v", engine, g.System, g.Prop, g.Limit)
-				}
-				gc, wc := fmt.Sprint(g.Counterexample), fmt.Sprint(w.Counterexample)
-				if g.Holds != w.Holds || gc != wc || g.TMStates != w.TMStates {
-					t.Errorf("engine %v: %s %v = (%v, %q, %d states), fail-fast (%v, %q, %d states)",
-						engine, g.System, g.Prop, g.Holds, gc, g.TMStates, w.Holds, wc, w.TMStates)
-				}
+	otf := Table2(systems, Options{Engine: EngineOnTheFly})
+	mat := Table2(systems, Options{Engine: EngineMaterialized})
+	if len(otf) != len(systems) || len(mat) != len(systems) {
+		t.Fatalf("%d on-the-fly and %d materialized rows, want %d", len(otf), len(mat), len(systems))
+	}
+	for i, sys := range systems {
+		size := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0)).NumStates()
+		for _, pair := range [][2]Result{{otf[i].SS, mat[i].SS}, {otf[i].OP, mat[i].OP}} {
+			o, m := pair[0], pair[1]
+			if o.Limit != nil || m.Limit != nil {
+				t.Errorf("%s %v unexpectedly limited: on-the-fly %v, materialized %v", o.System, o.Prop, o.Limit, m.Limit)
+			}
+			oc, mc := fmt.Sprint(o.Counterexample), fmt.Sprint(m.Counterexample)
+			if o.Holds != m.Holds || oc != mc {
+				t.Errorf("%s %v: on-the-fly (%v, %q), materialized (%v, %q)", o.System, o.Prop, o.Holds, oc, m.Holds, mc)
+			}
+			if m.TMStates != size {
+				t.Errorf("%s %v: materialized size %d, built system has %d states", m.System, m.Prop, m.TMStates, size)
 			}
 		}
 	}
@@ -71,15 +65,12 @@ func TestTable2ResilientMatchesFailFast(t *testing.T) {
 // that stops the big TMs: the small ones must still resolve, the
 // stopped ones must carry a typed states limit, and no error escapes.
 func TestTable2ResilientKeepsGoing(t *testing.T) {
-	prev := space.MaxStates()
-	defer space.SetMaxStates(prev)
 	// The materialized pipeline charges the full deterministic spec
 	// (5614 ss states at (2,2)) to every check, so it needs a larger
 	// budget than the lazy engine for the small systems to fit.
 	budgets := map[Engine]int{EngineOnTheFly: 200, EngineMaterialized: 8000}
 	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
-		space.SetMaxStates(budgets[engine])
-		rows := Table2Resilient(context.Background(), PaperSystems(2, 2), engine)
+		rows := Table2(PaperSystems(2, 2), Options{MaxStates: budgets[engine], Engine: engine})
 		resolved, limited := 0, 0
 		for _, row := range rows {
 			for _, r := range []Result{row.SS, row.OP} {
@@ -104,7 +95,7 @@ func TestTable2ResilientKeepsGoing(t *testing.T) {
 func TestTable2ResilientCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows := Table2Resilient(ctx, PaperSystems(2, 2), EngineOnTheFly)
+	rows := Table2(PaperSystems(2, 2), Options{Engine: EngineOnTheFly, Ctx: ctx})
 	for _, row := range rows {
 		for _, r := range []Result{row.SS, row.OP} {
 			if r.Limit == nil || r.Limit.Kind != guard.KindCancelled {
@@ -130,7 +121,7 @@ func TestTable2ResilientIsolatesPanicTM(t *testing.T) {
 	}
 	systems := []System{{Alg: tm.NewSeq(2, 2)}, {Alg: broken}}
 	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
-		rows := Table2Resilient(context.Background(), systems, engine)
+		rows := Table2(systems, Options{Engine: engine})
 		if len(rows) != 2 {
 			t.Fatalf("engine %v: %d rows, want 2", engine, len(rows))
 		}

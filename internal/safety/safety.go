@@ -21,7 +21,6 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
@@ -76,11 +75,12 @@ type Result struct {
 }
 
 // Check verifies L(ts) ⊆ L(Σd prop) with the deterministic specification,
-// in time linear in the product of the two systems.
-func Check(ts *explore.TS, prop spec.Property) Result {
+// in time linear in the product of the two systems. The specification is
+// enumerated with the given worker count (see spec.Det.EnumerateWorkers).
+func Check(ts *explore.TS, prop spec.Property, workers int) Result {
 	det := spec.NewDet(prop, ts.Alg.Threads(), ts.Alg.Vars())
 	specStart := time.Now()
-	dfa := det.Enumerate()
+	dfa := det.EnumerateWorkers(workers)
 	specElapsed := time.Since(specStart)
 	res := CheckAgainstDFA(ts, prop, dfa)
 	res.BuildSpecElapsed = specElapsed
@@ -91,14 +91,7 @@ func Check(ts *explore.TS, prop spec.Property) Result {
 // the (comparatively expensive) specification enumeration can be shared
 // across many TM checks.
 func CheckAgainstDFA(ts *explore.TS, prop spec.Property, dfa *automata.DFA) Result {
-	return checkAgainstDFA(ts, prop, dfa, true)
-}
-
-// checkAgainstDFA is CheckAgainstDFA with the phase span optional: the
-// obs phase stack assumes one single-threaded spine, so concurrent
-// table rows must not open spans.
-func checkAgainstDFA(ts *explore.TS, prop spec.Property, dfa *automata.DFA, phase bool) Result {
-	res, err := checkAgainstDFAGuarded(ts, prop, dfa, nil, phase)
+	res, err := checkAgainstDFAGuarded(ts, prop, dfa, nil, true)
 	if err != nil {
 		// Unreachable: a nil guard never trips.
 		panic(err)
@@ -106,9 +99,11 @@ func checkAgainstDFA(ts *explore.TS, prop spec.Property, dfa *automata.DFA, phas
 	return res
 }
 
-// checkAgainstDFAGuarded is checkAgainstDFA consulting a resource
+// checkAgainstDFAGuarded is CheckAgainstDFA consulting a resource
 // guard during the inclusion search, for the keep-going drivers: a
 // deadline or cancellation interrupts the product walk itself.
+// phase=false suppresses the obs span: the phase stack assumes one
+// single-threaded spine, so concurrent table rows must not open spans.
 func checkAgainstDFAGuarded(ts *explore.TS, prop spec.Property, dfa *automata.DFA, g *guard.Guard, phase bool) (Result, error) {
 	if phase {
 		done := obs.Phase("inclusion:" + ts.Name() + ":" + prop.Key())
@@ -165,11 +160,12 @@ func (r Result) record(pipeline string) {
 
 // CheckAgainstNondet verifies L(ts) ⊆ L(Σ prop) directly against the
 // nondeterministic specification using the antichain algorithm — the
-// validation path for the deterministic pipeline.
-func CheckAgainstNondet(ts *explore.TS, prop spec.Property) Result {
+// validation path for the deterministic pipeline. The specification is
+// enumerated with the given worker count.
+func CheckAgainstNondet(ts *explore.TS, prop spec.Property, workers int) Result {
 	nd := spec.NewNondet(prop, ts.Alg.Threads(), ts.Alg.Vars())
 	specStart := time.Now()
-	specNFA := nd.Enumerate()
+	specNFA := nd.EnumerateWorkers(workers)
 	specElapsed := time.Since(specStart)
 	nfa := ts.NFA()
 	start := time.Now()
@@ -194,145 +190,11 @@ func CheckAgainstNondet(ts *explore.TS, prop spec.Property) Result {
 	return res
 }
 
-// Verify builds the TM transition system for alg (with the optional
-// contention manager) and checks it against the deterministic
-// specification.
-func Verify(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property) Result {
-	buildStart := time.Now()
-	ts := explore.Build(alg, cm)
-	buildElapsed := time.Since(buildStart)
-	res := Check(ts, prop)
-	res.BuildTMElapsed = buildElapsed
-	return res
-}
-
 // Table2Row pairs the two safety verdicts for one TM, as in the paper's
 // Table 2.
 type Table2Row struct {
 	SS Result
 	OP Result
-}
-
-// Table2 reproduces the paper's Table 2 on the given systems: for each,
-// the transition-system size and the verdicts for strict serializability
-// and opacity with counterexamples. The deterministic specifications for
-// the (n, k) instances involved are built once and shared.
-//
-// With the process-wide worker count above one, the rows run
-// concurrently over a bounded pool (each row's exploration and checks
-// stay sequential inside the row — the row fan-out is the coarser and
-// cheaper parallelism); results are identical to the sequential driver.
-func Table2(systems []System) []Table2Row {
-	if workers := parbfs.Workers(); workers > 1 && len(systems) > 1 {
-		return table2Par(systems, workers)
-	}
-	return table2Seq(systems)
-}
-
-func table2Seq(systems []System) []Table2Row {
-	type key struct {
-		prop spec.Property
-		n, k int
-	}
-	dfas := map[key]*automata.DFA{}
-	// dfaFor builds (or reuses) the deterministic specification and
-	// reports the enumeration time — zero on a cache hit, so the cost
-	// is charged exactly once across the table.
-	dfaFor := func(prop spec.Property, n, k int) (*automata.DFA, time.Duration) {
-		k2 := key{prop, n, k}
-		if d, ok := dfas[k2]; ok {
-			return d, 0
-		}
-		done := obs.Phase("build-spec:" + prop.Key())
-		start := time.Now()
-		d := spec.NewDet(prop, n, k).Enumerate()
-		elapsed := time.Since(start)
-		done()
-		dfas[k2] = d
-		return d, elapsed
-	}
-	var rows []Table2Row
-	for _, sys := range systems {
-		name := sys.Alg.Name()
-		if sys.CM != nil {
-			name += "+" + sys.CM.Name()
-		}
-		doneSys := obs.Phase("safety:" + name)
-		doneBuild := obs.Phase("build-tm")
-		buildStart := time.Now()
-		ts := explore.Build(sys.Alg, sys.CM)
-		buildElapsed := time.Since(buildStart)
-		doneBuild()
-		n, k := sys.Alg.Threads(), sys.Alg.Vars()
-		ssDFA, ssSpecElapsed := dfaFor(spec.StrictSerializability, n, k)
-		opDFA, opSpecElapsed := dfaFor(spec.Opacity, n, k)
-		row := Table2Row{
-			SS: CheckAgainstDFA(ts, spec.StrictSerializability, ssDFA),
-			OP: CheckAgainstDFA(ts, spec.Opacity, opDFA),
-		}
-		row.SS.BuildTMElapsed = buildElapsed
-		row.SS.BuildSpecElapsed = ssSpecElapsed
-		row.OP.BuildSpecElapsed = opSpecElapsed
-		rows = append(rows, row)
-		doneSys()
-	}
-	return rows
-}
-
-// table2Par is the concurrent Table 2 driver: the distinct deterministic
-// specifications are enumerated once up front (their cost charged to the
-// first row that uses them, like the sequential driver), then the rows
-// fan out over the worker pool. Per-row obs phases are skipped — the
-// phase stack assumes a single-threaded spine — but all counters and
-// the returned rows are identical to table2Seq.
-func table2Par(systems []System, workers int) []Table2Row {
-	type key struct {
-		prop spec.Property
-		n, k int
-	}
-	type builtDFA struct {
-		dfa      *automata.DFA
-		elapsed  time.Duration
-		firstRow int
-	}
-	done := obs.Phase("safety:table2-parallel")
-	defer done()
-	dfas := map[key]*builtDFA{}
-	for i, sys := range systems {
-		n, k := sys.Alg.Threads(), sys.Alg.Vars()
-		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			k2 := key{prop, n, k}
-			if _, ok := dfas[k2]; ok {
-				continue
-			}
-			start := time.Now()
-			d := spec.NewDet(prop, n, k).EnumerateWorkers(workers)
-			dfas[k2] = &builtDFA{dfa: d, elapsed: time.Since(start), firstRow: i}
-		}
-	}
-	rows := make([]Table2Row, len(systems))
-	parbfs.For(len(systems), workers, func(i int) {
-		sys := systems[i]
-		n, k := sys.Alg.Threads(), sys.Alg.Vars()
-		buildStart := time.Now()
-		ts := explore.BuildWorkers(sys.Alg, sys.CM, 1)
-		buildElapsed := time.Since(buildStart)
-		ss := dfas[key{spec.StrictSerializability, n, k}]
-		op := dfas[key{spec.Opacity, n, k}]
-		row := Table2Row{
-			SS: checkAgainstDFA(ts, spec.StrictSerializability, ss.dfa, false),
-			OP: checkAgainstDFA(ts, spec.Opacity, op.dfa, false),
-		}
-		row.SS.BuildTMElapsed = buildElapsed
-		if ss.firstRow == i {
-			row.SS.BuildSpecElapsed = ss.elapsed
-		}
-		if op.firstRow == i {
-			row.OP.BuildSpecElapsed = op.elapsed
-		}
-		rows[i] = row
-	})
-	return rows
 }
 
 // System is a TM algorithm with an optional contention manager.

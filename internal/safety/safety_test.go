@@ -2,6 +2,7 @@ package safety
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -10,12 +11,23 @@ import (
 	"tmcheck/internal/tm"
 )
 
+// verify runs the materialized check at GOMAXPROCS workers without
+// limits, failing the test on an error.
+func verify(t testing.TB, alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property) Result {
+	t.Helper()
+	res, err := VerifyOpts(alg, cm, prop, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestTheorem4 reproduces the paper's Theorem 4 via Table 2: the
 // sequential TM, 2PL, DSTM and TL2 ensure (2,2) opacity (hence, by the
 // reduction theorem, opacity), while modified TL2 with the polite manager
 // is not even strictly serializable.
 func TestTheorem4Table2(t *testing.T) {
-	rows := Table2(PaperSystems(2, 2))
+	rows := Table2(PaperSystems(2, 2), Options{Engine: EngineMaterialized})
 	wantHolds := []bool{true, true, true, true, false}
 	names := []string{"seq", "2pl", "dstm", "tl2", "modtl2+polite"}
 	for i, row := range rows {
@@ -41,8 +53,8 @@ func TestTheorem4Table2(t *testing.T) {
 // The modified-TL2 counterexample must be a genuine TM word that the
 // oracle rejects, with the cross read-write shape of the paper's w1.
 func TestModTL2CounterexampleIsGenuine(t *testing.T) {
-	ts := explore.Build(tm.NewTL2Mod(2, 2), tm.Polite{})
-	res := Check(ts, spec.StrictSerializability)
+	ts := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
+	res := Check(ts, spec.StrictSerializability, runtime.GOMAXPROCS(0))
 	if res.Holds {
 		t.Fatal("modified TL2 with polite manager must violate strict serializability")
 	}
@@ -66,12 +78,12 @@ func TestModTL2CounterexampleIsGenuine(t *testing.T) {
 // The unmodified TL2 must accept the very interleaving that breaks the
 // modified variant — the counterexample word is not in TL2's language.
 func TestTL2RejectsTheBrokenInterleaving(t *testing.T) {
-	modTS := explore.Build(tm.NewTL2Mod(2, 2), tm.Polite{})
-	res := Check(modTS, spec.StrictSerializability)
+	modTS := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
+	res := Check(modTS, spec.StrictSerializability, runtime.GOMAXPROCS(0))
 	if res.Holds {
 		t.Fatal("expected a counterexample")
 	}
-	tl2TS := explore.Build(tm.NewTL2(2, 2), tm.Polite{})
+	tl2TS := explore.BuildWorkers(tm.NewTL2(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
 	if tl2TS.InLanguage(res.Counterexample) {
 		t.Errorf("TL2 proper must not produce the unsafe word %q", res.Counterexample)
 	}
@@ -83,7 +95,7 @@ func TestTL2RejectsTheBrokenInterleaving(t *testing.T) {
 func TestSafetyWithContentionManagers(t *testing.T) {
 	for _, cm := range []tm.ContentionManager{tm.Aggressive{}, tm.Polite{}, tm.Timid{}, tm.Karma{}} {
 		for _, alg := range []tm.Algorithm{tm.NewDSTM(2, 2), tm.NewTL2(2, 2)} {
-			res := Verify(alg, cm, spec.Opacity)
+			res := verify(t, alg, cm, spec.Opacity)
 			if !res.Holds {
 				t.Errorf("%s+%s: opacity fails with cex %q", alg.Name(), cm.Name(), res.Counterexample)
 			}
@@ -94,10 +106,10 @@ func TestSafetyWithContentionManagers(t *testing.T) {
 // CM languages are included in the unmanaged language on sampled runs: the
 // product construction only restricts behaviour.
 func TestCMRestrictsLanguage(t *testing.T) {
-	base := explore.Build(tm.NewDSTM(2, 2), nil).NFA()
+	base := explore.BuildWorkers(tm.NewDSTM(2, 2), nil, runtime.GOMAXPROCS(0)).NFA()
 	rng := rand.New(rand.NewSource(77))
 	for _, cm := range []tm.ContentionManager{tm.Aggressive{}, tm.Polite{}, tm.Timid{}} {
-		managed := explore.Build(tm.NewDSTM(2, 2), cm)
+		managed := explore.BuildWorkers(tm.NewDSTM(2, 2), cm, runtime.GOMAXPROCS(0))
 		if managed.NumStates() == 0 {
 			t.Fatalf("%s: empty system", cm.Name())
 		}
@@ -133,10 +145,10 @@ func randomWalkWord(rng *rand.Rand, ts *explore.TS, maxEmit int) core.Word {
 // deterministic pipeline on every paper system.
 func TestAntichainPathAgrees(t *testing.T) {
 	for _, sys := range PaperSystems(2, 2) {
-		ts := explore.Build(sys.Alg, sys.CM)
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			det := Check(ts, prop)
-			nd := CheckAgainstNondet(ts, prop)
+			det := Check(ts, prop, runtime.GOMAXPROCS(0))
+			nd := CheckAgainstNondet(ts, prop, runtime.GOMAXPROCS(0))
 			if det.Holds != nd.Holds {
 				t.Errorf("%s %v: det=%v antichain=%v", ts.Name(), prop, det.Holds, nd.Holds)
 			}
@@ -148,7 +160,7 @@ func TestAntichainPathAgrees(t *testing.T) {
 // with a genuine counterexample, exercising counterexample generation on a
 // fresh (non-paper) system.
 func TestBuggyTMProducesCounterexample(t *testing.T) {
-	res := Verify(tm.NewTwoPLNoReadLock(2, 2), nil, spec.StrictSerializability)
+	res := verify(t, tm.NewTwoPLNoReadLock(2, 2), nil, spec.StrictSerializability)
 	if res.Holds {
 		t.Fatal("2PL without read locks should not be strictly serializable")
 	}
@@ -157,14 +169,14 @@ func TestBuggyTMProducesCounterexample(t *testing.T) {
 	}
 }
 
-// Verify on a (2,1) instance: with a single variable, all four paper TMs
+// VerifyOpts on a (2,1) instance: with a single variable, all four paper TMs
 // are trivially safe as well.
 func TestSafetySingleVariable(t *testing.T) {
 	for _, sys := range PaperSystems(2, 1) {
 		if sys.Alg.Name() == "modtl2" {
 			continue // needs two variables to go wrong
 		}
-		res := Verify(sys.Alg, sys.CM, spec.Opacity)
+		res := verify(t, sys.Alg, sys.CM, spec.Opacity)
 		if !res.Holds {
 			t.Errorf("%s at (2,1): opacity fails with cex %q", res.System, res.Counterexample)
 		}

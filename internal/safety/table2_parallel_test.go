@@ -3,17 +3,15 @@ package safety
 import (
 	"reflect"
 	"testing"
-
-	"tmcheck/internal/parbfs"
 )
 
-// TestTable2ParallelMatchesSequential drives the concurrent Table 2
-// path explicitly and checks the rows — verdicts, sizes, and
-// counterexamples — against the sequential driver.
+// TestTable2ParallelMatchesSequential checks the materialized Table 2
+// rows — verdicts, sizes, and counterexamples — at four workers against
+// one worker.
 func TestTable2ParallelMatchesSequential(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	seq := table2Seq(systems)
-	par := table2Par(systems, 4)
+	seq := Table2(systems, Options{Workers: 1, Engine: EngineMaterialized})
+	par := Table2(systems, Options{Workers: 4, Engine: EngineMaterialized})
 	if len(par) != len(seq) {
 		t.Fatalf("row count: parallel %d, sequential %d", len(par), len(seq))
 	}
@@ -39,19 +37,18 @@ func TestTable2ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTable2DispatchesOnWorkerCount checks the public entry point takes
-// the parallel path under a multi-worker setting and still returns the
-// sequential rows.
+// TestTable2DispatchesOnWorkerCount checks the driver takes its
+// parallel path under a multi-worker Options.Workers in both engines
+// and still returns the sequential verdicts.
 func TestTable2DispatchesOnWorkerCount(t *testing.T) {
-	defer parbfs.SetWorkers(0)
 	systems := PaperSystems(2, 1)
-	parbfs.SetWorkers(1)
-	seq := Table2(systems)
-	parbfs.SetWorkers(3)
-	par := Table2(systems)
-	for i := range seq {
-		if par[i].SS.Holds != seq[i].SS.Holds || par[i].OP.Holds != seq[i].OP.Holds {
-			t.Fatalf("row %d: verdicts diverge between worker counts", i)
+	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
+		seq := Table2(systems, Options{Workers: 1, Engine: engine})
+		par := Table2(systems, Options{Workers: 3, Engine: engine})
+		for i := range seq {
+			if par[i].SS.Holds != seq[i].SS.Holds || par[i].OP.Holds != seq[i].OP.Holds {
+				t.Fatalf("engine %v row %d: verdicts diverge between worker counts", engine, i)
+			}
 		}
 	}
 }

@@ -16,15 +16,17 @@ import (
 // store's persistence hooks.
 func buildStored(t *testing.T, s *Store, alg tm.Algorithm, cm tm.ContentionManager, workers int) *explore.TS {
 	t.Helper()
-	p, err := s.Persist(alg, cm)
+	ts, err := explore.BuildGuarded(alg, cm, workers, nil, s.Persist)
 	if err != nil {
-		t.Fatalf("Persist: %v", err)
-	}
-	ts, err := explore.BuildPersistGuarded(alg, cm, workers, nil, p)
-	if err != nil {
-		t.Fatalf("BuildPersistGuarded: %v", err)
+		t.Fatalf("BuildGuarded: %v", err)
 	}
 	return ts
+}
+
+// hooks is the provider handing every system the same persistence
+// hooks.
+func hooks(p *explore.Persist) explore.PersistProvider {
+	return func(tm.Algorithm, tm.ContentionManager) (*explore.Persist, error) { return p, nil }
 }
 
 // sameTS asserts two builds agree state-for-state and edge-for-edge —
@@ -56,7 +58,7 @@ func wantErrContaining(t *testing.T, err error, sub string) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tl2.snap")
-	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil)
+	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestTornRecordDropsOnlyTail(t *testing.T) {
 	if kept >= full {
 		t.Fatalf("Resumable after truncation = %d, want < %d", kept, full)
 	}
-	ts, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil)
+	ts, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestResumeMissingSectionStartsFresh(t *testing.T) {
 	if p.Resume != nil || p.Sink != nil {
 		t.Errorf("want an empty Persist, got Resume=%v Sink=%v", p.Resume, p.Sink)
 	}
-	ts, err := explore.BuildPersistGuarded(tm.NewDSTM(2, 2), nil, 1, nil, p)
+	ts, err := explore.BuildGuarded(tm.NewDSTM(2, 2), nil, 1, nil, hooks(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,14 +366,14 @@ func TestOpenRunSamePathIsCheckpoint(t *testing.T) {
 
 func TestSpillBackedBuildMatches(t *testing.T) {
 	dir := t.TempDir()
-	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil)
+	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		sp := NewSpill(dir)
 		p := &explore.Persist{Grow: sp.Grow(), GrowShard: func(int) pack.GrowFunc { return sp.Grow() }}
-		ts, err := explore.BuildPersistGuarded(tm.NewTL2(2, 2), nil, workers, nil, p)
+		ts, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, workers, nil, hooks(p))
 		if err != nil {
 			sp.Close()
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -13,14 +13,13 @@
 // constructing the parts of either system the product does not reach.
 //
 // The package also owns the state-budget vocabulary: a typed
-// BudgetError for searches that would exceed a state cap (so callers
-// degrade gracefully instead of OOMing), and the process-wide MaxStates
-// knob surfaced as the -maxstates flag of cmd/tmcheck.
+// BudgetError for searches that would exceed a state cap, so callers
+// degrade gracefully instead of OOMing. The budget itself travels with
+// each search in its *guard.Guard.
 package space
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
@@ -61,30 +60,22 @@ type Space interface {
 	NumStates() int
 }
 
+// scanProgressEvery is the heartbeat granularity of Scan on the
+// telemetry bus: one EvProgress per this many expanded states.
+const scanProgressEvery = 8192
+
 // Scan drives sp to its reachable fixpoint: every interned state is
 // expanded exactly once, in id order, and edge is called for each
 // transition (from, letter, to). Since interning is canonical this is
 // exactly the sequential scan-order BFS the materialized builders used
 // to hand-roll.
 //
-// A positive maxStates bounds the number of states constructed: the
-// scan stops with a *BudgetError as soon as the interned count exceeds
-// it. maxStates <= 0 means unbounded. Scan returns the number of states
+// The guard is consulted once per expanded state: the scan stops with
+// its *guard.LimitError as soon as the context is done, the state
+// budget is exceeded, or the heap watchdog trips. A nil or limitless
+// guard costs nothing per state. Scan returns the number of states
 // interned when it stopped.
-func Scan(sp Space, maxStates int, edge func(from State, l Letter, to State)) (int, error) {
-	return ScanGuarded(sp, guard.New(nil, maxStates, 0), edge)
-}
-
-// scanProgressEvery is the heartbeat granularity of ScanGuarded on the
-// telemetry bus: one EvProgress per this many expanded states.
-const scanProgressEvery = 8192
-
-// ScanGuarded is Scan consulting a full resource guard instead of a
-// bare state budget: the scan stops with the guard's *guard.LimitError
-// as soon as the context is done, the state budget is exceeded, or the
-// heap watchdog trips, checked once per expanded state. A nil or
-// limitless guard costs nothing per state.
-func ScanGuarded(sp Space, g *guard.Guard, edge func(from State, l Letter, to State)) (int, error) {
+func Scan(sp Space, g *guard.Guard, edge func(from State, l Letter, to State)) (int, error) {
 	var from State
 	emit := func(l Letter, to State) { edge(from, l, to) }
 	active := g.Active()
@@ -211,20 +202,3 @@ var ErrBudgetExceeded = guard.ErrStates
 // exceeded", while the guard layer adds the wall-clock, memory,
 // cancellation and panic kinds under the same type.
 type BudgetError = guard.LimitError
-
-// maxStates is the process-wide state budget; 0 means unlimited.
-var maxStates atomic.Int64
-
-// MaxStates returns the process-wide state budget installed by
-// SetMaxStates (the -maxstates flag of cmd/tmcheck), or 0 for
-// unlimited.
-func MaxStates() int { return int(maxStates.Load()) }
-
-// SetMaxStates installs the process-wide state budget. n <= 0 resets to
-// unlimited.
-func SetMaxStates(n int) {
-	if n < 0 {
-		n = 0
-	}
-	maxStates.Store(int64(n))
-}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"tmcheck/internal/guard"
 )
 
 // gridSpace is a toy implicit space: states are (x, y) points on a
@@ -40,7 +42,7 @@ func (g *gridSpace) Succ(s State, emit func(Letter, State)) {
 func TestScanReachesFixpoint(t *testing.T) {
 	g := newGrid(4, 3, false)
 	edges := 0
-	n, err := Scan(g, 0, func(from State, l Letter, to State) { edges++ })
+	n, err := Scan(g, nil, func(from State, l Letter, to State) { edges++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +61,10 @@ func TestScanCanonicalNumbering(t *testing.T) {
 	// first-sight order along the scan, identical on every run.
 	g1 := newGrid(3, 3, false)
 	var order1 []State
-	Scan(g1, 0, func(_ State, _ Letter, to State) { order1 = append(order1, to) })
+	Scan(g1, nil, func(_ State, _ Letter, to State) { order1 = append(order1, to) })
 	g2 := newGrid(3, 3, true)
 	var order2 []State
-	Scan(g2, 0, func(_ State, _ Letter, to State) { order2 = append(order2, to) })
+	Scan(g2, nil, func(_ State, _ Letter, to State) { order2 = append(order2, to) })
 	if len(order1) != len(order2) {
 		t.Fatalf("edge counts differ: %d vs %d", len(order1), len(order2))
 	}
@@ -75,7 +77,7 @@ func TestScanCanonicalNumbering(t *testing.T) {
 
 func TestScanBudget(t *testing.T) {
 	g := newGrid(10, 10, false)
-	n, err := Scan(g, 5, func(State, Letter, State) {})
+	n, err := Scan(g, guard.New(nil, 5, 0), func(State, Letter, State) {})
 	if err == nil {
 		t.Fatal("want budget error")
 	}
@@ -133,20 +135,5 @@ func TestSyncInternerConcurrent(t *testing.T) {
 	wg.Wait()
 	if in.Len() != 100 {
 		t.Errorf("len = %d, want 100", in.Len())
-	}
-}
-
-func TestMaxStatesKnob(t *testing.T) {
-	defer SetMaxStates(0)
-	if MaxStates() != 0 {
-		t.Fatalf("default MaxStates = %d", MaxStates())
-	}
-	SetMaxStates(1234)
-	if MaxStates() != 1234 {
-		t.Errorf("MaxStates = %d", MaxStates())
-	}
-	SetMaxStates(-7)
-	if MaxStates() != 0 {
-		t.Errorf("negative reset: MaxStates = %d", MaxStates())
 	}
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/automata"
@@ -61,8 +62,8 @@ func TestEquivalenceOtherInstances(t *testing.T) {
 	for _, dims := range [][2]int{{2, 1}, {3, 1}, {1, 2}} {
 		n, k := dims[0], dims[1]
 		for _, prop := range []Property{StrictSerializability, Opacity} {
-			nd := NewNondet(prop, n, k).Enumerate()
-			dt := NewDet(prop, n, k).Enumerate()
+			nd := NewNondet(prop, n, k).EnumerateWorkers(runtime.GOMAXPROCS(0))
+			dt := NewDet(prop, n, k).EnumerateWorkers(runtime.GOMAXPROCS(0))
 			equal, fwd, cex := automata.EquivalentNFADFA(nd, dt)
 			if !equal {
 				ab := core.Alphabet{Threads: n, Vars: k}
@@ -82,13 +83,13 @@ func TestEquivalenceOtherInstances(t *testing.T) {
 // same canonical automaton (minimal DFAs are unique up to isomorphism).
 func TestDeterminizationSucceedsAndCanonicalizes(t *testing.T) {
 	for _, prop := range []Property{StrictSerializability, Opacity} {
-		nfa := NewNondet(prop, 2, 2).Enumerate()
+		nfa := NewNondet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		subset, err := nfa.DeterminizeBounded(2000000)
 		if err != nil {
 			t.Fatalf("%v: determinization blew up: %v", prop, err)
 		}
 		fromNondet := subset.Minimize()
-		fromDet := NewDet(prop, 2, 2).Enumerate().Minimize()
+		fromDet := NewDet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0)).Minimize()
 		if fromNondet.NumStates() != fromDet.NumStates() {
 			t.Errorf("%v: canonical sizes differ: %d (via subset construction) vs %d (hand-built)",
 				prop, fromNondet.NumStates(), fromDet.NumStates())

@@ -336,38 +336,26 @@ func (sp *Det) AcceptsStates(w core.Word) (bool, int) {
 	return true, visited
 }
 
-// Enumerate builds the explicit DFA of the specification over the
-// instance alphabet, with the process-wide worker count. The
-// enumeration size and time are recorded under
-// "spec.det.<prop>.n<n>k<k>.*" in the obs registry.
-func (sp *Det) Enumerate() *automata.DFA {
-	return sp.EnumerateWorkers(parbfs.Workers())
-}
-
-// EnumerateWorkers is Enumerate with an explicit worker count. The
-// resulting DFA — state numbering and edges — is identical for every
-// worker count (see internal/parbfs).
+// EnumerateWorkers builds the explicit DFA of the specification over
+// the instance alphabet. One worker runs the sequential scan; more run
+// the parbfs engine. The resulting DFA — state numbering and edges — is
+// identical for every worker count. The enumeration size and time are
+// recorded under "spec.det.<prop>.n<n>k<k>.*" in the obs registry.
+// It is unguarded: a panicking specification panics through.
 func (sp *Det) EnumerateWorkers(workers int) *automata.DFA {
-	dfa, err := sp.EnumerateBudget(workers, 0) // unbounded: only a panic can fail it
+	dfa, err := sp.EnumerateGuarded(workers, nil) // unbounded: only a panic can fail it
 	if err != nil {
 		panic(err)
 	}
 	return dfa
 }
 
-// EnumerateBudget is EnumerateWorkers with a state budget: when
-// maxStates > 0 and the specification has more reachable states, the
-// enumeration stops with a *space.BudgetError instead of materializing
-// it (the parallel engine checks at level barriers, so it may overshoot
-// by one BFS level). maxStates <= 0 means unbounded.
-func (sp *Det) EnumerateBudget(workers, maxStates int) (*automata.DFA, error) {
-	return sp.EnumerateGuarded(workers, guard.New(nil, maxStates, 0))
-}
-
-// EnumerateGuarded is the fully guarded enumeration: the guard's
-// context, state budget, and heap watchdog are consulted per state in
-// the sequential path and at level barriers in the parallel one, and a
-// panicking specification is isolated into a *guard.LimitError.
+// EnumerateGuarded is EnumerateWorkers under a guard: its context,
+// state budget, and heap watchdog are consulted per state in the
+// sequential path and at level barriers in the parallel one (which may
+// therefore overshoot the budget by one BFS level), and a panicking
+// specification is isolated into a *guard.LimitError. A nil guard sets
+// no limits.
 func (sp *Det) EnumerateGuarded(workers int, g *guard.Guard) (dfa *automata.DFA, err error) {
 	start := time.Now()
 	ab := core.Alphabet{Threads: sp.Threads, Vars: sp.Vars}
@@ -396,7 +384,7 @@ func (sp *Det) EnumerateGuarded(workers int, g *guard.Guard) (dfa *automata.DFA,
 // pre-Space enumerator hand-rolled it.
 func (sp *Det) enumerateSeq(dfa *automata.DFA, g *guard.Guard) error {
 	lz := NewLazy(sp)
-	_, err := space.ScanGuarded(lz, g, func(from space.State, l space.Letter, to space.State) {
+	_, err := space.Scan(lz, g, func(from space.State, l space.Letter, to space.State) {
 		for dfa.NumStates() <= int(to) {
 			dfa.AddState() // state 0 is pre-allocated by NewDFA
 		}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tmcheck/internal/automata"
@@ -62,8 +63,8 @@ func testDetAgainstOracle(t *testing.T, n, k, iters, maxLen int) {
 // specifications coincide on (2,2), established by antichain equivalence.
 func TestTheorem3Equivalence22(t *testing.T) {
 	for _, prop := range []Property{StrictSerializability, Opacity} {
-		nd := NewNondet(prop, 2, 2).Enumerate()
-		dt := NewDet(prop, 2, 2).Enumerate()
+		nd := NewNondet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+		dt := NewDet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		equal, fwd, cex := automata.EquivalentNFADFA(nd, dt)
 		if !equal {
 			ab := core.Alphabet{Threads: 2, Vars: 2}
@@ -77,8 +78,8 @@ func TestTheorem3Equivalence22(t *testing.T) {
 }
 
 func TestDetEnumerateSizes(t *testing.T) {
-	ss := NewDet(StrictSerializability, 2, 2).Enumerate()
-	op := NewDet(Opacity, 2, 2).Enumerate()
+	ss := NewDet(StrictSerializability, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+	op := NewDet(Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 	t.Logf("Σdss states = %d (paper: 3520)", ss.NumStates())
 	t.Logf("Σdop states = %d (paper: 2272)", op.NumStates())
 	t.Logf("Σdss minimized = %d", ss.Minimize().NumStates())

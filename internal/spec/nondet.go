@@ -310,17 +310,12 @@ func (sp *Nondet) AcceptsStates(w core.Word) (bool, int) {
 	return true, visited
 }
 
-// Enumerate builds the explicit NFA of the specification over the instance
-// alphabet, with ε(t) guesses as ε-transitions, using the process-wide
-// worker count. The enumeration size and time are recorded under
+// EnumerateWorkers builds the explicit NFA of the specification over
+// the instance alphabet, with ε(t) guesses as ε-transitions. One worker
+// runs the sequential scan; more run the parbfs engine. The resulting
+// NFA — state numbering and edge order — is identical for every worker
+// count. The enumeration size and time are recorded under
 // "spec.nondet.<prop>.n<n>k<k>.*" in the obs registry.
-func (sp *Nondet) Enumerate() *automata.NFA {
-	return sp.EnumerateWorkers(parbfs.Workers())
-}
-
-// EnumerateWorkers is Enumerate with an explicit worker count. The
-// resulting NFA — state numbering and edge order — is identical for
-// every worker count (see internal/parbfs).
 func (sp *Nondet) EnumerateWorkers(workers int) *automata.NFA {
 	start := time.Now()
 	ab := core.Alphabet{Threads: sp.Threads, Vars: sp.Vars}
