@@ -121,26 +121,44 @@ var engineCases = []struct {
 
 // BenchmarkEngines compares the materialized build-then-check pipeline
 // against the on-the-fly product search end to end (construction
-// included, single worker). The allocation columns show the memory
-// story: on-the-fly never materializes the spec DFA or the TM NFA.
+// included, single worker), plus the on-the-fly search at GOMAXPROCS
+// workers ("onthefly-par", its prefetching mode). The allocation
+// columns show the memory story: on-the-fly never materializes the spec
+// DFA or the TM NFA.
 func BenchmarkEngines(b *testing.B) {
 	for _, c := range engineCases {
 		sys := c.sys()
-		for _, engine := range []safety.Engine{safety.EngineMaterialized, safety.EngineOnTheFly} {
-			engine := engine
-			b.Run(c.name+"/"+engine.String(), func(b *testing.B) {
+		for _, e := range engineRows(runtime.GOMAXPROCS(0)) {
+			e := e
+			b.Run(c.name+"/"+e.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := safety.VerifyOpts(sys.Alg, sys.CM, c.prop, safety.Options{Workers: 1, Engine: engine})
+					res, err := safety.VerifyOpts(sys.Alg, sys.CM, c.prop, e.opts)
 					if err != nil {
 						b.Fatal(err)
 					}
 					if res.Holds != c.holds {
-						b.Fatalf("%s/%s: holds = %v, want %v", c.name, engine, res.Holds, c.holds)
+						b.Fatalf("%s/%s: holds = %v, want %v", c.name, e.name, res.Holds, c.holds)
 					}
 				}
 			})
 		}
+	}
+}
+
+// engineRows are the BenchmarkEngines columns: each engine at one
+// worker, then on-the-fly at the given worker count.
+func engineRows(workers int) []struct {
+	name string
+	opts safety.Options
+} {
+	return []struct {
+		name string
+		opts safety.Options
+	}{
+		{"materialized", safety.Options{Workers: 1, Engine: safety.EngineMaterialized}},
+		{"onthefly", safety.Options{Workers: 1, Engine: safety.EngineOnTheFly}},
+		{"onthefly-par", safety.Options{Workers: workers, Engine: safety.EngineOnTheFly}},
 	}
 }
 

@@ -192,16 +192,25 @@ func benchmarks(full bool, workers int) []namedBench {
 		{"tl2-ss", safety.System{Alg: tm.NewTL2(2, 2)}, spec.StrictSerializability},
 		{"modtl2+polite-ss", safety.System{Alg: tm.NewTL2Mod(2, 2), CM: tm.Polite{}}, spec.StrictSerializability},
 	}
+	// Each engine at one worker, then on-the-fly at the -workers count.
+	engineRows := []struct {
+		name string
+		opts safety.Options
+	}{
+		{"materialized", safety.Options{Workers: 1, Engine: safety.EngineMaterialized}},
+		{"onthefly", safety.Options{Workers: 1, Engine: safety.EngineOnTheFly}},
+		{"onthefly-par", safety.Options{Workers: workers, Engine: safety.EngineOnTheFly}},
+	}
 	for _, c := range engineCases {
 		c := c
-		for _, engine := range []safety.Engine{safety.EngineMaterialized, safety.EngineOnTheFly} {
-			engine := engine
+		for _, e := range engineRows {
+			e := e
 			bms = append(bms, namedBench{
-				name: "Engines/" + c.name + "/" + engine.String(),
+				name: "Engines/" + c.name + "/" + e.name,
 				fn: func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := safety.VerifyOpts(c.sys.Alg, c.sys.CM, c.prop, safety.Options{Workers: 1, Engine: engine}); err != nil {
+						if _, err := safety.VerifyOpts(c.sys.Alg, c.sys.CM, c.prop, e.opts); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -33,6 +33,7 @@ var goldenCases = []struct {
 	{"safety-dstm-op-materialized", []string{"safety", "-tm", "dstm", "-prop", "op", "-engine", "materialized"}},
 	{"safety-modtl2-polite-ss-onthefly", []string{"safety", "-tm", "modtl2", "-cm", "polite", "-prop", "ss", "-engine", "onthefly"}},
 	{"safety-modtl2-polite-ss-materialized", []string{"safety", "-tm", "modtl2", "-cm", "polite", "-prop", "ss", "-engine", "materialized"}},
+	{"safety-modtl2-polite-ss-k3-onthefly", []string{"safety", "-tm", "modtl2", "-cm", "polite", "-prop", "ss", "-k", "3", "-engine", "onthefly"}},
 	{"liveness-dstm-aggressive-onthefly", []string{"liveness", "-tm", "dstm", "-cm", "aggressive", "-engine", "onthefly"}},
 	{"liveness-dstm-aggressive-materialized", []string{"liveness", "-tm", "dstm", "-cm", "aggressive", "-engine", "materialized"}},
 	{"maxstates200-table2-onthefly", []string{"-maxstates", "200", "table2", "-engine", "onthefly"}},

@@ -269,53 +269,57 @@ func scan(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard
 	return out, states, pstats, resumed, err
 }
 
-// scanSeq is the sequential scan-order BFS: a scan of the lazy Space to
-// its fixpoint, recording the resolved edges per state. The numbering
-// is first-sight scan order, exactly as the pre-Space builder
-// hand-rolled it. The guard is exact (checked per state, before the
-// barrier at the same boundary).
+// scanSeq is the sequential scan-order BFS over the boxed unfolding,
+// interning successors on first sight and recording the resolved edges
+// per state. The guard is exact (checked per state, before the barrier
+// at the same boundary).
 func scanSeq(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier) ([][]Edge, stateTable, error) {
-	sp := newSpace(alg, cm, false)
+	u := newUnfolding(alg, cm)
+	in := space.NewInterner[prodState]()
+	in.Intern(u.initial())
 	var out [][]Edge
 	// The yield closure is hoisted out of the scan loop (capturing qi) so
 	// the hot path allocates none per state.
 	var qi space.State
-	yield := func(e Edge) { out[qi] = append(out[qi], e) }
+	yield := func(next prodState, e Edge) {
+		e.To = in.Intern(next)
+		out[qi] = append(out[qi], e)
+	}
 	guarded := g.Active()
 	// With the telemetry bus on, every level boundary additionally
 	// publishes an EvLevelDone; disabled, the boundary bookkeeping is
 	// only kept when a barrier hook needs it, exactly as before.
 	emit := newLevelEmitter(systemLabel(alg, cm))
 	levelEnd := 1
-	for qi = 0; int(qi) < sp.NumStates(); qi++ {
+	for qi = 0; int(qi) < in.Len(); qi++ {
 		if guarded {
-			if err := g.Check(sp.NumStates()); err != nil {
+			if err := g.Check(in.Len()); err != nil {
 				return nil, nil, err
 			}
 		}
 		if (barrier != nil || emit != nil) && int(qi) == levelEnd {
 			if emit != nil {
-				emit(sp.NumStates(), levelEnd)
+				emit(in.Len(), levelEnd)
 			}
 			if barrier != nil {
-				if err := barrier(out, sp.NumStates(), levelEnd); err != nil {
+				if err := barrier(out, in.Len(), levelEnd); err != nil {
 					return nil, nil, err
 				}
 			}
-			levelEnd = sp.NumStates()
+			levelEnd = in.Len()
 		}
 		out = append(out, nil)
-		sp.SuccEdges(qi, yield)
+		u.expand(in.At(qi), yield)
 	}
 	if emit != nil {
-		emit(sp.NumStates(), sp.NumStates())
+		emit(in.Len(), in.Len())
 	}
 	if barrier != nil {
-		if err := barrier(out, sp.NumStates(), sp.NumStates()); err != nil {
+		if err := barrier(out, in.Len(), in.Len()); err != nil {
 			return nil, nil, err
 		}
 	}
-	return out, boxedStates(sp.in.Snapshot()), nil
+	return out, boxedStates(in.Snapshot()), nil
 }
 
 // systemLabel names the system without constructing a TS.
@@ -361,10 +365,8 @@ func newLevelEmitter(name string) func(interned, expanded int) {
 // the level barriers (guard first), where the canonical numbering of
 // all completed levels is already assigned.
 func scanPar(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier) ([][]Edge, stateTable, parbfs.Stats, error) {
-	// The Space supplies only the successor enumeration here — parbfs
-	// owns the interning, so the Space's own table stays at the initial
-	// state.
-	sp := newSpace(alg, cm, false)
+	// parbfs owns the interning; the unfolding only enumerates.
+	u := newUnfolding(alg, cm)
 	var out [][]Edge
 	var states []prodState
 	var control func(n int) error
@@ -392,11 +394,11 @@ func scanPar(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Gu
 	// pendEdges[id] buffers state id's edge templates (To unresolved)
 	// between the expand and finish passes of its level.
 	var pendEdges [][]Edge
-	pstats, err := parbfs.RunControlled(sp.in.At(0), workers, control,
+	pstats, err := parbfs.RunControlled(u.initial(), workers, control,
 		func(id int, emit func(prodState)) {
 			q := states[id]
 			var buf []Edge
-			sp.expand(q, func(next prodState, e Edge) {
+			u.expand(q, func(next prodState, e Edge) {
 				buf = append(buf, e)
 				emit(next)
 			})

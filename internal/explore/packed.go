@@ -294,24 +294,23 @@ func (pc *packedCore[S]) stateAt(key []uint64) prodState {
 	return ps
 }
 
-// edgeArena allocates Edge storage in chunks: place copies a scratch
-// edge list into the current chunk (opening a fresh chunk when it
-// would not fit) and returns a stable full-capacity slice, so
-// per-state adjacency costs no per-state allocation and never moves —
-// the Barrier contract's stability requirement. Chunks grow
-// geometrically from chunkSize up to maxChunk, so tiny systems (a
-// 3-state seq build, the liveness probes at (2,1)) don't pay a
-// 100-KB-class fixed cost while large builds still amortize to a
-// handful of chunks.
-type edgeArena struct {
+// arena allocates edge storage in chunks: place copies a scratch edge
+// list into the current chunk (opening a fresh chunk when it would not
+// fit) and returns a stable full-capacity slice, so per-state adjacency
+// costs no per-state allocation and never moves — the Barrier
+// contract's stability requirement. Chunks grow geometrically from
+// chunkSize up to maxChunk, so tiny systems (a 3-state seq build, the
+// liveness probes at (2,1)) don't pay a 100-KB-class fixed cost while
+// large builds still amortize to a handful of chunks.
+type arena[T any] struct {
 	chunkSize int
-	cur       []Edge
+	cur       []T
 }
 
 // maxChunk caps the arena chunk growth (edges per chunk).
 const maxChunk = 8192
 
-func (a *edgeArena) place(es []Edge) []Edge {
+func (a *arena[T]) place(es []T) []T {
 	if len(es) == 0 {
 		return nil
 	}
@@ -323,7 +322,7 @@ func (a *edgeArena) place(es []Edge) []Edge {
 		if next := a.chunkSize * 2; next <= maxChunk {
 			a.chunkSize = next
 		}
-		a.cur = make([]Edge, 0, size)
+		a.cur = make([]T, 0, size)
 	}
 	start := len(a.cur)
 	a.cur = append(a.cur, es...)
@@ -373,7 +372,7 @@ func scanSeqPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g 
 	pc.writeInit(keyBuf[:kw])
 
 	var out [][]Edge
-	arena := &edgeArena{chunkSize: 64}
+	store := &arena[Edge]{chunkSize: 64}
 	resumed := 0
 	startQi := int32(0)
 	levelEnd := 1
@@ -438,7 +437,7 @@ func scanSeqPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g 
 		copy(cur[:kw], in.KeyAt(qi))
 		scratch = scratch[:0]
 		pc.expandKey(cur[:kw], yield)
-		out = append(out, arena.place(scratch))
+		out = append(out, store.place(scratch))
 	}
 	if err := flush.flush(in.KeyAt, out, in.Len(), in.Len()); err != nil {
 		return nil, nil, resumed, err
@@ -549,11 +548,11 @@ func scanParPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, wo
 	}
 
 	cores := make([]packedIface, workers)
-	arenas := make([]*edgeArena, workers)
+	arenas := make([]*arena[Edge], workers)
 	ctxs := make([]*parCtx, workers)
 	for w := 0; w < workers; w++ {
 		cores[w] = pc.clone()
-		arenas[w] = &edgeArena{chunkSize: 64}
+		arenas[w] = &arena[Edge]{chunkSize: 64}
 		ctxs[w] = newParCtx()
 	}
 

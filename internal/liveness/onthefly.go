@@ -17,7 +17,7 @@ import (
 
 // This file is the on-the-fly liveness engine: instead of materializing
 // the full managed-TM transition system and then hunting for lassos, it
-// drives the lazy explore.Space scan and probes the closed prefix for
+// drives the explore.ScanLevels scan and probes the closed prefix for
 // violating loops at BFS level barriers. Any loop (plus its stem) found
 // in a prefix uses only real edges of the full system, so reporting it
 // immediately is sound; a property can only be declared to HOLD at the

@@ -205,7 +205,7 @@ func RunPackedOpts(
 		}
 		outs = outs[:len(level)]
 
-		ForWorker(len(level), workers, panics.protectW(func(w, fi int) {
+		ForWorker(len(level), workers, panics.protect(func(w, fi int) {
 			pw := pws[w]
 			pw.fi, pw.di, pw.refs = int32(fi), 0, outs[fi][:0]
 			expand(w, int(level[fi]), pw.emit)
@@ -239,7 +239,7 @@ func RunPackedOpts(
 			nextID++
 		}
 
-		ForWorker(len(level), workers, panics.protectW(func(w, fi int) {
+		ForWorker(len(level), workers, panics.protect(func(w, fi int) {
 			refs := outs[fi]
 			succ := succScratch[w]
 			if cap(succ) < len(refs) {

@@ -148,44 +148,33 @@ type panicBox struct {
 	err *guard.LimitError
 }
 
-// protect wraps a worker task with a recover that files the panic.
-func (b *panicBox) protect(f func(int)) func(int) {
-	return func(i int) {
-		defer func() {
-			if v := recover(); v != nil {
-				le := &guard.LimitError{Kind: guard.KindPanic, Value: v, Stack: debug.Stack()}
-				b.mu.Lock()
-				first := b.err == nil
-				if first {
-					b.err = le
-				}
-				b.mu.Unlock()
-				if first && obs.EventsEnabled() {
-					obs.Emit(obs.Event{Kind: obs.EvPanicRecovered, Detail: le.Error()})
-				}
-			}
-		}()
-		f(i)
+// catch, deferred on a worker goroutine, files the panic in flight, if
+// any. A *guard.LimitError re-raised by a nested pool is kept as is.
+func (b *panicBox) catch() {
+	v := recover()
+	if v == nil {
+		return
+	}
+	le, ok := v.(*guard.LimitError)
+	if !ok {
+		le = &guard.LimitError{Kind: guard.KindPanic, Value: v, Stack: debug.Stack()}
+	}
+	b.mu.Lock()
+	first := b.err == nil
+	if first {
+		b.err = le
+	}
+	b.mu.Unlock()
+	if first && obs.EventsEnabled() {
+		obs.Emit(obs.Event{Kind: obs.EvPanicRecovered, Detail: le.Error()})
 	}
 }
 
-// protectW is protect for worker-indexed tasks (ForWorker bodies).
-func (b *panicBox) protectW(f func(w, i int)) func(w, i int) {
+// protect wraps a worker task with catch, so the rest of the level
+// still runs and the engine stops at the barrier with the filed panic.
+func (b *panicBox) protect(f func(w, i int)) func(w, i int) {
 	return func(w, i int) {
-		defer func() {
-			if v := recover(); v != nil {
-				le := &guard.LimitError{Kind: guard.KindPanic, Value: v, Stack: debug.Stack()}
-				b.mu.Lock()
-				first := b.err == nil
-				if first {
-					b.err = le
-				}
-				b.mu.Unlock()
-				if first && obs.EventsEnabled() {
-					obs.Emit(obs.Event{Kind: obs.EvPanicRecovered, Detail: le.Error()})
-				}
-			}
-		}()
+		defer b.catch()
 		f(w, i)
 	}
 }
@@ -204,11 +193,10 @@ func (b *panicBox) limit() error {
 // before the fixpoint: control(states) is called at every level barrier
 // — after the level's finish calls, with the number of states placed so
 // far — and a non-nil return stops the search cleanly. The error is
-// returned verbatim, with the stats of the truncated run. The on-the-fly
-// safety engine uses this for early exit on a found counterexample and
-// for state budgets; because the check sits at the barrier, a truncated
-// run still carries the exact canonical numbering of its completed
-// levels.
+// returned verbatim, with the stats of the truncated run. The boxed
+// scans and the Σd enumeration use this for their guards; because the
+// check sits at the barrier, a truncated run still carries the exact
+// canonical numbering of its completed levels.
 func RunControlled[S comparable](
 	init S,
 	workers int,
@@ -244,7 +232,7 @@ func RunControlled[S comparable](
 		st.LevelSizes = append(st.LevelSizes, len(level))
 		outs := make([][]succRef[S], len(level))
 
-		For(len(level), workers, panics.protect(func(fi int) {
+		ForWorker(len(level), workers, panics.protect(func(_, fi int) {
 			id := level[fi]
 			var refs []succRef[S]
 			di := int32(0)
@@ -295,7 +283,7 @@ func RunControlled[S comparable](
 			clear(shards[i].cands)
 		}
 
-		For(len(level), workers, panics.protect(func(fi int) {
+		ForWorker(len(level), workers, panics.protect(func(_, fi int) {
 			refs := outs[fi]
 			succ := make([]int32, len(refs))
 			for j, r := range refs {
@@ -360,6 +348,13 @@ func For(n, workers int, f func(i int)) {
 // ForWorker is For passing each call the index of the worker goroutine
 // executing it (0 when running inline), so callers can keep per-worker
 // scratch without locking.
+//
+// A panic in f reaches the caller either way: a worker goroutine
+// recovers it and stops, the other workers finish, and ForWorker then
+// re-panics on the calling goroutine with a *guard.LimitError of kind
+// KindPanic carrying the value and the worker's stack — so the
+// engines' guard.Capture turns it into a LIMIT(panic) instead of the
+// process dying.
 func ForWorker(n, workers int, f func(w, i int)) {
 	if workers > n {
 		workers = n
@@ -383,10 +378,12 @@ func ForWorker(n, workers int, f func(w, i int)) {
 	spans := obs.EventsEnabled()
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panics panicBox
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer panics.catch()
 			var start time.Time
 			items := 0
 			if spans {
@@ -415,4 +412,7 @@ func ForWorker(n, workers int, f func(w, i int)) {
 		}(w)
 	}
 	wg.Wait()
+	if panics.err != nil {
+		panic(panics.err)
+	}
 }

@@ -1,9 +1,14 @@
 package parbfs
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"tmcheck/internal/guard"
 )
 
 // succsOf defines a deterministic synthetic graph over uint32 states:
@@ -112,6 +117,42 @@ func TestForCoversAllIndices(t *testing.T) {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
 			}
+		}
+	}
+}
+
+// TestForWorkerPanicReachesCaller pins the panic contract of the worker
+// pool: a panic in a ForWorker body surfaces on the calling goroutine
+// as a *guard.LimitError of kind KindPanic — carrying the value and a
+// stack — only after every other worker has finished, so guard.Capture
+// in the engines can turn it into a LIMIT(panic) at any worker count.
+func TestForWorkerPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var inflight, done atomic.Int64
+		err := guard.Capture(func() error {
+			ForWorker(200, workers, func(_, i int) {
+				inflight.Add(1)
+				defer inflight.Add(-1)
+				if i == 37 {
+					panic("boom")
+				}
+				time.Sleep(50 * time.Microsecond)
+				done.Add(1)
+			})
+			return nil
+		})
+		if n := inflight.Load(); n != 0 {
+			t.Errorf("workers=%d: %d calls still running after ForWorker returned", workers, n)
+		}
+		var le *guard.LimitError
+		if !errors.As(err, &le) || le.Kind != guard.KindPanic {
+			t.Fatalf("workers=%d: got %v, want a KindPanic *guard.LimitError", workers, err)
+		}
+		if le.Value != "boom" || len(le.Stack) == 0 {
+			t.Errorf("workers=%d: limit error carries value %v and a %d-byte stack", workers, le.Value, len(le.Stack))
+		}
+		if n := done.Load(); n == 0 || n > 199 {
+			t.Errorf("workers=%d: %d of the 199 non-panicking calls ran", workers, n)
 		}
 	}
 }

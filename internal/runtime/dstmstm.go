@@ -15,8 +15,8 @@ import (
 // Simplification relative to hardware DSTM: the validate-and-commit
 // sequence runs under a global commit mutex rather than a multi-word CAS;
 // this preserves the algorithm's conflict structure (what aborts whom and
-// when) while keeping the code short. Reads and writes remain fine
-// grained.
+// when) while keeping the code short. Writes remain fine grained; reads
+// take the commit mutex too, so they never straddle a commit (see Read).
 type DSTMSTM struct {
 	commitMu sync.Mutex
 	vars     []dstmVar
@@ -105,6 +105,12 @@ func (tx *dstmTx) Read(v core.Var) (int, error) {
 		return 0, tx.abortNow()
 	}
 	checkVar(v, len(tx.stm.vars))
+	// Validate, read and record under the commit mutex: a commit records
+	// its statement before publishing its writes, so a read that could
+	// interleave with that window would validate against the old versions
+	// yet be recorded after the commit — a non-opaque history.
+	tx.stm.commitMu.Lock()
+	defer tx.stm.commitMu.Unlock()
 	if !tx.validateReads() {
 		return 0, tx.abortNow()
 	}

@@ -18,7 +18,7 @@ import (
 func eqSystems(t *testing.T, n, k int) []System {
 	t.Helper()
 	var systems []System
-	for _, name := range tm.AlgorithmNames() {
+	for _, name := range registryAlgorithms {
 		alg, err := tm.NewAlgorithm(name, n, k)
 		if err != nil {
 			t.Fatal(err)

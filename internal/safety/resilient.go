@@ -80,13 +80,14 @@ func resilientCheck(run func() (Result, error), alg tm.Algorithm, cm tm.Contenti
 	return res
 }
 
-// table2OnTheFly checks every row with the sequential on-the-fly
+// table2OnTheFly checks every row with the one-worker on-the-fly
 // search. With more than one worker and row, the rows fan out over the
 // pool instead — the coarser parallelism — so rows are bit-identical
 // for every worker count, including the early-exit sizes of failing
-// rows, which the level-synchronized search would report differently
-// (see otfPar). Per-check obs phases open only on the sequential
-// spine; the phase stack assumes a single thread.
+// rows, which the prefetching search reports differently because it
+// finishes the violating BFS level (see searchProduct). Per-check obs
+// phases open only on the sequential spine; the phase stack assumes a
+// single thread.
 func table2OnTheFly(systems []System, workers int, opts Options) []Table2Row {
 	phase := !opts.NoPhases
 	if workers > 1 && len(systems) > 1 {

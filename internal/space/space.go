@@ -5,12 +5,13 @@
 // Before this abstraction the pipeline was strictly "build then check":
 // explore materialized the full TM transition system, spec enumerated
 // the full deterministic specification, and only then did the safety
-// check walk their product. The Space interface turns every layer into
-// a successor generator instead — the materialized structures become
-// one possible consumer (a Scan to the fixpoint), and the on-the-fly
-// safety engine becomes another that interleaves TM exploration with
-// specification stepping and stops at the first counterexample, never
-// constructing the parts of either system the product does not reach.
+// check walk their product. The Space interface turns a layer into a
+// successor generator instead — the materialized structure becomes one
+// possible consumer (a Scan to the fixpoint), and the on-the-fly safety
+// engine another that steps the specification (spec.Lazy) in lockstep
+// with the TM's lazy product (explore.Lazy) and stops at the first
+// counterexample, never constructing the parts of either system the
+// product does not reach.
 //
 // The package also owns the state-budget vocabulary: a typed
 // BudgetError for searches that would exceed a state cap, so callers
@@ -19,8 +20,6 @@
 package space
 
 import (
-	"sync"
-
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
 )
@@ -99,25 +98,17 @@ func Scan(sp Space, g *guard.Guard, edge func(from State, l Letter, to State)) (
 }
 
 // Interner canonically numbers the states of an implicit space: each
-// distinct state value receives a dense id in first-Intern order. A
-// plain Interner (NewInterner) is single-goroutine and lock-free on the
-// hot path; a shared one (NewSyncInterner) may be used from concurrent
-// expansions, as the parallel on-the-fly product search does.
+// distinct state value receives a dense id in first-Intern order. It is
+// single-goroutine; concurrent readers are safe only while nothing is
+// interned.
 type Interner[S comparable] struct {
-	shared bool
-	mu     sync.RWMutex
 	index  map[S]State
 	states []S
 }
 
-// NewInterner returns an empty single-goroutine interner.
+// NewInterner returns an empty interner.
 func NewInterner[S comparable]() *Interner[S] {
 	return &Interner[S]{index: map[S]State{}}
-}
-
-// NewSyncInterner returns an empty interner safe for concurrent use.
-func NewSyncInterner[S comparable]() *Interner[S] {
-	return &Interner[S]{shared: true, index: map[S]State{}}
 }
 
 // Intern returns the canonical id of s, assigning the next dense id on
@@ -129,23 +120,6 @@ func (in *Interner[S]) Intern(s S) State {
 
 // InternFresh is Intern reporting whether the state was newly interned.
 func (in *Interner[S]) InternFresh(s S) (State, bool) {
-	if in.shared {
-		in.mu.RLock()
-		id, ok := in.index[s]
-		in.mu.RUnlock()
-		if ok {
-			return id, false
-		}
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		if id, ok := in.index[s]; ok {
-			return id, false
-		}
-		id = State(len(in.states))
-		in.index[s] = id
-		in.states = append(in.states, s)
-		return id, true
-	}
 	if id, ok := in.index[s]; ok {
 		return id, false
 	}
@@ -156,33 +130,16 @@ func (in *Interner[S]) InternFresh(s S) (State, bool) {
 }
 
 // At returns the state value with the given id.
-func (in *Interner[S]) At(id State) S {
-	if in.shared {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-	}
-	return in.states[id]
-}
+func (in *Interner[S]) At(id State) S { return in.states[id] }
 
 // Len returns the number of states interned so far.
-func (in *Interner[S]) Len() int {
-	if in.shared {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-	}
-	return len(in.states)
-}
+func (in *Interner[S]) Len() int { return len(in.states) }
 
 // Snapshot returns the interned states in id order. The returned slice
 // aliases the interner's storage up to its current length; callers must
 // not modify it. Meant for materializing consumers that take over the
 // states once interning is complete.
 func (in *Interner[S]) Snapshot() []S {
-	if in.shared {
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-		return in.states[:len(in.states):len(in.states)]
-	}
 	return in.states[:len(in.states):len(in.states)]
 }
 

@@ -1,15 +1,17 @@
 package spec
 
 import (
-	"sync"
-
 	"tmcheck/internal/core"
+	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 )
 
-// stepUnknown marks a memo row entry whose Step has not been computed
-// yet (space.None marks a computed "no transition").
-const stepUnknown space.State = -2
+// Memo cells hold a successor id, space.None for a computed "no
+// transition", or one of these markers.
+const (
+	stepUnknown space.State = -2 // not computed yet
+	stepQueued  space.State = -3 // queued for the next Fill
+)
 
 // Lazy is the deterministic specification as an implicit space.Space:
 // states are interned DStates, successors are computed by Det.Step on
@@ -18,37 +20,38 @@ const stepUnknown space.State = -2
 // actually reaches are ever constructed — on TM products that is a
 // small fraction of the full enumeration (the gap the obs counter
 // "spec_states" vs. a full Enumerate measures).
+//
+// The memo is one flat table with a row of alphabet-size cells per
+// state, so a known step is a single slice read.
 type Lazy struct {
 	Det *Det
 	ab  core.Alphabet
 
-	shared bool
-	mu     sync.RWMutex // guards rows in shared mode
-	in     *space.Interner[DState]
-	rows   [][]space.State // rows[id][letter]: stepUnknown, space.None, or successor id
+	in    *space.Interner[DState]
+	memo  []space.State // memo[s*ab.Size()+l]
+	queue []int         // cells queued for Fill
+	next  []DState      // Fill scratch: the computed successors
+	ok    []bool
 }
 
-// NewLazy returns the lazy view of the specification for
-// single-goroutine consumers.
-func NewLazy(d *Det) *Lazy { return newLazy(d, false) }
-
-// NewLazySync is NewLazy with concurrency-safe memoization, for the
-// parallel on-the-fly product search.
-func NewLazySync(d *Det) *Lazy { return newLazy(d, true) }
-
-func newLazy(d *Det, shared bool) *Lazy {
-	lz := &Lazy{Det: d, ab: core.Alphabet{Threads: d.Threads, Vars: d.Vars}, shared: shared}
-	if shared {
-		lz.in = space.NewSyncInterner[DState]()
-	} else {
-		lz.in = space.NewInterner[DState]()
-	}
-	lz.in.Intern(d.Initial())
+// NewLazy returns the lazy view of the specification. It is
+// single-goroutine; only Fill fans work out.
+func NewLazy(d *Det) *Lazy {
+	lz := &Lazy{Det: d, ab: core.Alphabet{Threads: d.Threads, Vars: d.Vars}, in: space.NewInterner[DState]()}
+	lz.intern(d.Initial())
 	return lz
 }
 
-// AlphabetSize returns the instance alphabet size n·(2k+2).
-func (lz *Lazy) AlphabetSize() int { return lz.ab.Size() }
+// intern interns q, appending a fresh memo row on first sight.
+func (lz *Lazy) intern(q DState) space.State {
+	id, fresh := lz.in.InternFresh(q)
+	if fresh {
+		for range lz.ab.Size() {
+			lz.memo = append(lz.memo, stepUnknown)
+		}
+	}
+	return id
+}
 
 // Init implements space.Space.
 func (lz *Lazy) Init() space.State { return 0 }
@@ -71,69 +74,50 @@ func (lz *Lazy) Succ(s space.State, emit func(l space.Letter, to space.State)) {
 // Step returns the successor of the already-interned spec state s under
 // letter l, or space.None when the specification refuses the statement
 // (the detSpec ⊥ — in the product search this is exactly a safety
-// violation). Results are memoized; the underlying Det.Step runs at
-// most once per (state, letter).
+// violation). Results are memoized per (state, letter); a cell queued
+// for Fill is treated as unknown.
 func (lz *Lazy) Step(s space.State, l int) space.State {
-	if lz.shared {
-		return lz.stepSync(s, l)
-	}
-	for len(lz.rows) < lz.in.Len() {
-		lz.rows = append(lz.rows, nil)
-	}
-	row := lz.rows[s]
-	if row == nil {
-		row = newRow(lz.ab.Size())
-		lz.rows[s] = row
-	}
-	if r := row[l]; r != stepUnknown {
+	c := int(s)*lz.ab.Size() + l
+	if r := lz.memo[c]; r >= space.None {
 		return r
 	}
-	id := lz.compute(s, l)
-	row[l] = id
+	id := space.None
+	if q2, ok := lz.Det.Step(lz.in.At(s), lz.ab.Decode(l)); ok {
+		id = lz.intern(q2)
+	}
+	lz.memo[c] = id
 	return id
 }
 
-func (lz *Lazy) stepSync(s space.State, l int) space.State {
-	lz.mu.RLock()
-	cached := stepUnknown
-	if int(s) < len(lz.rows) && lz.rows[s] != nil {
-		cached = lz.rows[s][l]
+// Want queues the cell (s, l) for the next Fill unless it is already
+// known or queued.
+func (lz *Lazy) Want(s space.State, l int) {
+	c := int(s)*lz.ab.Size() + l
+	if lz.memo[c] == stepUnknown {
+		lz.memo[c] = stepQueued
+		lz.queue = append(lz.queue, c)
 	}
-	lz.mu.RUnlock()
-	if cached != stepUnknown {
-		return cached
-	}
-	// Compute outside the lock: Det.Step is pure on the DState value, so
-	// racing computations of the same cell agree and the double write is
-	// harmless.
-	id := lz.compute(s, l)
-	lz.mu.Lock()
-	for len(lz.rows) < lz.in.Len() {
-		lz.rows = append(lz.rows, nil)
-	}
-	row := lz.rows[s]
-	if row == nil {
-		row = newRow(lz.ab.Size())
-		lz.rows[s] = row
-	}
-	row[l] = id
-	lz.mu.Unlock()
-	return id
 }
 
-// compute runs the actual Det.Step and interns the successor.
-func (lz *Lazy) compute(s space.State, l int) space.State {
-	q2, ok := lz.Det.Step(lz.in.At(s), lz.ab.Decode(l))
-	if !ok {
-		return space.None
+// Fill computes every queued cell. Det.Step runs across the workers —
+// it is pure on DState values, and nothing is interned meanwhile — and
+// the successors are then interned on the calling goroutine in queue
+// order, so the numbering does not depend on the schedule.
+func (lz *Lazy) Fill(workers int) {
+	q, size := lz.queue, lz.ab.Size()
+	if cap(lz.next) < len(q) {
+		lz.next, lz.ok = make([]DState, len(q)), make([]bool, len(q))
 	}
-	return lz.in.Intern(q2)
-}
-
-func newRow(size int) []space.State {
-	row := make([]space.State, size)
-	for i := range row {
-		row[i] = stepUnknown
+	next, ok := lz.next[:len(q)], lz.ok[:len(q)]
+	parbfs.For(len(q), workers, func(i int) {
+		next[i], ok[i] = lz.Det.Step(lz.in.At(space.State(q[i]/size)), lz.ab.Decode(q[i]%size))
+	})
+	for i, c := range q {
+		id := space.None
+		if ok[i] {
+			id = lz.intern(next[i])
+		}
+		lz.memo[c] = id
 	}
-	return row
+	lz.queue = q[:0]
 }
