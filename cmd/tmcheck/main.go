@@ -40,7 +40,8 @@
 // which stays disabled — at zero cost — when none of them is set.
 //
 // -workers sets the worker count of the parallel engines (state-space
-// exploration, specification enumeration, table-row fan-out); it
+// exploration, specification enumeration, the on-the-fly search's TM
+// expansion ahead of the product, table-row fan-out); it
 // defaults to GOMAXPROCS, and -workers 1 restores the exact sequential
 // behavior. Results are bit-identical for every worker count.
 //

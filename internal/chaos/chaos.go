@@ -49,8 +49,9 @@ const (
 	// without closing), exercising the heartbeat-timeout detector.
 	SiteConnStall
 	// SiteWorkerPanic is a panic inside a packed exploration scan —
-	// sequential spine or parbfs worker — isolated by the engines'
-	// existing guard.Capture machinery into a LIMIT(panic).
+	// sequential spine or parbfs worker — or in a prefetch helper of the
+	// on-the-fly product, isolated by the engines' existing
+	// guard.Capture machinery into a LIMIT(panic).
 	SiteWorkerPanic
 	// SiteGuardMem is a spurious memory-watchdog trip inside
 	// guard.Check, exercising the KindMemory limit path.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -109,13 +110,19 @@ func TestTable3ResilientKeepsGoing(t *testing.T) {
 	}
 }
 
+// registerPanicky registers the crashing TM with the public registry
+// once per test binary, so a repeated -count run finds it registered.
+var registerPanicky = sync.OnceValue(func() error {
+	return tm.RegisterAlgorithm("panicky-liveness", func(n, k int) tm.Algorithm {
+		return panicAfter{Algorithm: tm.NewDSTM(n, k), calls: new(atomic.Int64), after: 20}
+	})
+})
+
 // TestTable3ResilientIsolatesPanicTM registers a deliberately crashing
 // TM through the public registry and checks both engines isolate the
 // panic into LimitError{Kind: panic} cells while healthy rows resolve.
 func TestTable3ResilientIsolatesPanicTM(t *testing.T) {
-	if err := tm.RegisterAlgorithm("panicky-liveness", func(n, k int) tm.Algorithm {
-		return panicAfter{Algorithm: tm.NewDSTM(n, k), calls: new(atomic.Int64), after: 20}
-	}); err != nil {
+	if err := registerPanicky(); err != nil {
 		t.Fatal(err)
 	}
 	broken, err := tm.NewAlgorithm("panicky-liveness", 2, 1)

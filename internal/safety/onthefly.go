@@ -41,7 +41,11 @@ const (
 // Options configures VerifyOpts and Table2.
 type Options struct {
 	// Workers is the worker count; <= 0 means GOMAXPROCS. One worker
-	// runs the plain sequential engines.
+	// runs the plain sequential engines. Above one, the materialized
+	// engine explores and enumerates in parallel, and the on-the-fly
+	// one expands TM states ahead of its search on Workers-1 helper
+	// goroutines. Every Result field but the elapsed times is the same
+	// at every count.
 	Workers int
 	// MaxStates bounds the total states constructed (see VerifyOpts);
 	// <= 0 means unbounded.
@@ -77,9 +81,11 @@ func (opts Options) guard() *guard.Guard {
 // states + spec states + product pairs for the on-the-fly engine; TM
 // states, then the full spec DFA, then inclusion pairs cumulatively for
 // the materialized one — and the check stops with a *space.BudgetError
-// instead of exhausting memory. The sequential engines trip the budget
-// exactly; parallel ones check at BFS level barriers and may overshoot
-// by one level.
+// instead of exhausting memory. The on-the-fly engine checks the budget
+// per product pair and trips it at the same state count at every
+// worker count; the materialized engine trips it exactly at one worker
+// and, above one, checks at BFS level barriers and may overshoot by one
+// level.
 //
 // Both engines return identical verdicts and identical counterexample
 // words (the on-the-fly search orders each state's edges ε-first then
@@ -237,10 +243,10 @@ func checkOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 	return res, nil
 }
 
-// otfProgressEvery is the heartbeat granularity of the one-worker
-// on-the-fly search on the telemetry bus: one EvProgress per this many
-// expanded product pairs.
-const otfProgressEvery = 4096
+// otfChunk is the on-the-fly search's unit of the pair queue: one
+// EvProgress heartbeat on the telemetry bus per chunk, and above one
+// worker the TM expansion prefetched one chunk ahead of the loop.
+const otfChunk = 4096
 
 // product is the state of one on-the-fly search. A pair is the one-word
 // key tm<<32 | spec, and its id is its first-sight index in pairs, so
@@ -282,47 +288,40 @@ func (p *product) word(id int32, last int16) []int {
 	return rev
 }
 
-// prefetch expands the TM states of the level's pairs [lo, hi) and
-// computes the Σd steps their letters need, across the workers, so the
-// level's loop runs on cached edges and memoized steps.
-func (p *product) prefetch(lo, hi int32, workers int) {
+// prefetch hands the TM states of the chunk of pairs starting at lo —
+// as far as the queue holds it yet — to the TM side's prefetch helpers.
+func (p *product) prefetch(lo int32, workers int) {
 	p.ids = p.ids[:0]
+	hi := min(lo+otfChunk, int32(p.pairs.Len()))
 	for id := lo; id < hi; id++ {
 		tm, _ := p.at(id)
 		p.ids = append(p.ids, tm)
 	}
 	p.tms.Prefetch(p.ids, workers)
-	for id := lo; id < hi; id++ {
-		tm, sp := p.at(id)
-		for _, e := range p.tms.Edges(tm) {
-			if e.Emit >= 0 {
-				p.lz.Want(sp, int(e.Emit))
-			}
-		}
-	}
-	p.lz.Fill(workers)
 }
 
 // searchProduct is the product BFS, one loop for every worker count.
 // Pairs are processed in id order and numbered on first sight, with each
-// TM state's edges ε-first and then by letter.
+// TM state's edges ε-first and then by letter. The guard is consulted per
+// pair, the frontier peak is the largest queue backlog, and the search
+// returns at the first violation; with the telemetry bus on, each BFS
+// level's end publishes an EvLevelDone.
 //
-// One worker expands TM states lazily, consults the guard per pair,
-// stops at the first violation and reports the queue backlog as the
-// frontier peak. More workers prefetch each BFS level, run the level to
-// its end remembering its first violation in id order, and consult the
-// guard at the level barrier; the frontier peak is the largest level.
-// Numbering is the same either way, so the verdict and counterexample
-// never depend on the worker count; the sizes of a failing check do,
-// since the parallel search finishes the violating level.
+// Above one worker, while the loop runs one chunk of the queue, helper
+// goroutines expand the TM states of the next (explore.Lazy.Prefetch).
+// Their successors are interned only when the loop asks for them, in
+// the order an inline expansion would intern them, so ids, sizes, the
+// frontier peak and the point where a budget trips are the same at
+// every worker count.
 func searchProduct(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, workers int, g *guard.Guard, name string) (Result, error) {
 	p := &product{
 		tms:   explore.NewLazy(alg, cm),
 		lz:    spec.NewLazy(spec.NewDet(prop, alg.Threads(), alg.Vars())),
 		pairs: pack.NewMap(1, 0),
 	}
+	defer p.tms.Wait()
 	p.push(0, 0, -1, -1)
-	par, guarded, events := workers > 1, g.Active(), obs.EventsEnabled()
+	guarded, events := g.Active(), obs.EventsEnabled()
 	states := func() int { return p.pairs.Len() + p.tms.NumStates() + p.lz.NumStates() }
 	result := func(holds bool, cexLetters []int, peak int) (Result, error) {
 		res := Result{
@@ -342,68 +341,56 @@ func searchProduct(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 		}
 		return res, nil
 	}
+	level, levelEnd, last := int32(0), int32(1), time.Now()
+	levelDone := func(expanded int32) {
+		now := time.Now()
+		obs.Emit(obs.Event{
+			Kind: obs.EvLevelDone, Name: name, Level: level,
+			States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - int(expanded)),
+			HeapBytes: obs.SampledHeap(), DurNS: now.Sub(last).Nanoseconds(),
+		})
+		last, level = now, level+1
+	}
 
-	peak, level, prev, last := 1, int32(0), 0, time.Now()
-	vio, vioLetter := int32(-1), int16(0)
-	for lo, hi := int32(0), int32(1); lo < hi; lo, hi = hi, int32(p.pairs.Len()) {
-		if par {
-			p.prefetch(lo, hi, workers)
-			peak = max(peak, int(hi-lo))
+	peak := 1
+	for qi := int32(0); int(qi) < p.pairs.Len(); qi++ {
+		if events && qi == levelEnd {
+			levelDone(qi)
+			levelEnd = int32(p.pairs.Len())
 		}
-		for qi := lo; qi < hi; qi++ {
-			if !par {
-				if guarded {
-					if err := g.Check(states()); err != nil {
-						return Result{}, err
-					}
-				}
-				peak = max(peak, p.pairs.Len()-int(qi))
-				if events && qi > 0 && qi%otfProgressEvery == 0 {
-					obs.Emit(obs.Event{
-						Kind: obs.EvProgress, Name: name,
-						States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - int(qi)),
-						HeapBytes: obs.SampledHeap(),
-					})
-				}
-			}
-			tm, sp := p.at(qi)
-			for _, e := range p.tms.Edges(tm) {
-				if e.Emit < 0 {
-					p.push(e.To, sp, qi, -1)
-					continue
-				}
-				if d2 := p.lz.Step(sp, int(e.Emit)); d2 != space.None {
-					p.push(e.To, d2, qi, e.Emit)
-					continue
-				}
-				if vio < 0 {
-					vio, vioLetter = qi, e.Emit
-				}
-				if !par {
-					return result(false, p.word(vio, vioLetter), peak)
-				}
+		if guarded {
+			if err := g.Check(states()); err != nil {
+				return Result{}, err
 			}
 		}
-		if !par {
-			continue
+		peak = max(peak, p.pairs.Len()-int(qi))
+		if qi%otfChunk == 0 {
+			if events && qi > 0 {
+				obs.Emit(obs.Event{
+					Kind: obs.EvProgress, Name: name,
+					States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - int(qi)),
+					HeapBytes: obs.SampledHeap(),
+				})
+			}
+			if workers > 1 {
+				p.prefetch(qi+otfChunk, workers)
+			}
 		}
-		// The level barrier: with the telemetry bus on, one EvLevelDone
-		// per level — the per-level product-BFS slices of the -trace view.
-		if events {
-			now := time.Now()
-			obs.Emit(obs.Event{
-				Kind: obs.EvLevelDone, Name: name, Level: level,
-				States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - prev),
-				HeapBytes: obs.SampledHeap(), DurNS: now.Sub(last).Nanoseconds(),
-			})
-			last, prev, level = now, p.pairs.Len(), level+1
+		tm, sp := p.at(qi)
+		for _, e := range p.tms.Edges(tm) {
+			if e.Emit < 0 {
+				p.push(e.To, sp, qi, -1)
+				continue
+			}
+			d2 := p.lz.Step(sp, int(e.Emit))
+			if d2 == space.None {
+				return result(false, p.word(qi, e.Emit), peak)
+			}
+			p.push(e.To, d2, qi, e.Emit)
 		}
-		if vio >= 0 {
-			return result(false, p.word(vio, vioLetter), peak)
-		}
-		if err := g.Check(states()); err != nil {
-			return Result{}, err
-		}
+	}
+	if events {
+		levelDone(int32(p.pairs.Len()))
 	}
 	return result(true, nil, peak)
 }

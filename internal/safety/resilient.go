@@ -82,12 +82,11 @@ func resilientCheck(run func() (Result, error), alg tm.Algorithm, cm tm.Contenti
 
 // table2OnTheFly checks every row with the one-worker on-the-fly
 // search. With more than one worker and row, the rows fan out over the
-// pool instead — the coarser parallelism — so rows are bit-identical
-// for every worker count, including the early-exit sizes of failing
-// rows, which the prefetching search reports differently because it
-// finishes the violating BFS level (see searchProduct). Per-check obs
-// phases open only on the sequential spine; the phase stack assumes a
-// single thread.
+// pool instead: whole checks are a coarser unit of parallelism than
+// the search's chunk-ahead TM expansion, and the rows are the same
+// either way, since the search reports the same Result at every worker
+// count. Per-check obs phases open only on the sequential spine; the
+// phase stack assumes a single thread.
 func table2OnTheFly(systems []System, workers int, opts Options) []Table2Row {
 	phase := !opts.NoPhases
 	if workers > 1 && len(systems) > 1 {

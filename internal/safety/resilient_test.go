@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"tmcheck/internal/chaos"
 	"tmcheck/internal/core"
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
@@ -105,14 +108,20 @@ func TestTable2ResilientCancelled(t *testing.T) {
 	}
 }
 
+// registerPanicky registers the crashing TM with the public registry
+// once per test binary, so a repeated -count run finds it registered.
+var registerPanicky = sync.OnceValue(func() error {
+	return tm.RegisterAlgorithm("panicky-safety", func(n, k int) tm.Algorithm {
+		return panicAfter{Algorithm: tm.NewDSTM(n, k), calls: new(atomic.Int64), after: 50}
+	})
+})
+
 // TestTable2ResilientIsolatesPanicTM registers a deliberately crashing
 // TM through the public registry — the way an extension TM reaches the
 // drivers — and checks the keep-going table isolates the panic into
 // LimitError{Kind: panic} rows while the healthy systems still resolve.
 func TestTable2ResilientIsolatesPanicTM(t *testing.T) {
-	if err := tm.RegisterAlgorithm("panicky-safety", func(n, k int) tm.Algorithm {
-		return panicAfter{Algorithm: tm.NewDSTM(n, k), calls: new(atomic.Int64), after: 50}
-	}); err != nil {
+	if err := registerPanicky(); err != nil {
 		t.Fatal(err)
 	}
 	broken, err := tm.NewAlgorithm("panicky-safety", 2, 2)
@@ -138,6 +147,30 @@ func TestTable2ResilientIsolatesPanicTM(t *testing.T) {
 				t.Errorf("engine %v: panic limit lost its value", engine)
 			}
 		}
+	}
+}
+
+// TestOnTheFlyHelperPanicIsolated fires the injected worker panic in a
+// prefetch helper of a two-worker on-the-fly check — tl2 ss, which holds,
+// so the search reaches every chunk its helpers expand: the check must
+// stop with an isolated panic carrying the injected error, and no
+// helper may outlive VerifyOpts.
+func TestOnTheFlyHelperPanicIsolated(t *testing.T) {
+	plan := chaos.Manual()
+	plan.Arm(chaos.SiteWorkerPanic, 1)
+	chaos.Install(plan)
+	_, err := VerifyOpts(tm.NewTL2(2, 2), nil, spec.StrictSerializability, Options{Workers: 2, Engine: EngineOnTheFly})
+	chaos.Uninstall()
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Lazy).expandAhead") {
+		t.Errorf("a prefetch helper outlived VerifyOpts:\n%s", stacks)
+	}
+	var le *guard.LimitError
+	if !errors.Is(err, guard.ErrPanic) || !errors.As(err, &le) {
+		t.Fatalf("err = %v, want an isolated panic", err)
+	}
+	if v, ok := le.Value.(error); !ok || !errors.Is(v, chaos.ErrInjected) {
+		t.Errorf("panic value %v does not wrap chaos.ErrInjected", le.Value)
 	}
 }
 

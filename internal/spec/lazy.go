@@ -2,16 +2,12 @@ package spec
 
 import (
 	"tmcheck/internal/core"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 )
 
-// Memo cells hold a successor id, space.None for a computed "no
-// transition", or one of these markers.
-const (
-	stepUnknown space.State = -2 // not computed yet
-	stepQueued  space.State = -3 // queued for the next Fill
-)
+// stepUnknown marks a memo cell not computed yet; the others hold a
+// successor id or space.None for a computed "no transition".
+const stepUnknown space.State = -2
 
 // Lazy is the deterministic specification as an implicit space.Space:
 // states are interned DStates, successors are computed by Det.Step on
@@ -27,15 +23,12 @@ type Lazy struct {
 	Det *Det
 	ab  core.Alphabet
 
-	in    *space.Interner[DState]
-	memo  []space.State // memo[s*ab.Size()+l]
-	queue []int         // cells queued for Fill
-	next  []DState      // Fill scratch: the computed successors
-	ok    []bool
+	in   *space.Interner[DState]
+	memo []space.State // memo[s*ab.Size()+l]
 }
 
 // NewLazy returns the lazy view of the specification. It is
-// single-goroutine; only Fill fans work out.
+// single-goroutine.
 func NewLazy(d *Det) *Lazy {
 	lz := &Lazy{Det: d, ab: core.Alphabet{Threads: d.Threads, Vars: d.Vars}, in: space.NewInterner[DState]()}
 	lz.intern(d.Initial())
@@ -74,8 +67,7 @@ func (lz *Lazy) Succ(s space.State, emit func(l space.Letter, to space.State)) {
 // Step returns the successor of the already-interned spec state s under
 // letter l, or space.None when the specification refuses the statement
 // (the detSpec ⊥ — in the product search this is exactly a safety
-// violation). Results are memoized per (state, letter); a cell queued
-// for Fill is treated as unknown.
+// violation). Results are memoized per (state, letter).
 func (lz *Lazy) Step(s space.State, l int) space.State {
 	c := int(s)*lz.ab.Size() + l
 	if r := lz.memo[c]; r >= space.None {
@@ -87,37 +79,4 @@ func (lz *Lazy) Step(s space.State, l int) space.State {
 	}
 	lz.memo[c] = id
 	return id
-}
-
-// Want queues the cell (s, l) for the next Fill unless it is already
-// known or queued.
-func (lz *Lazy) Want(s space.State, l int) {
-	c := int(s)*lz.ab.Size() + l
-	if lz.memo[c] == stepUnknown {
-		lz.memo[c] = stepQueued
-		lz.queue = append(lz.queue, c)
-	}
-}
-
-// Fill computes every queued cell. Det.Step runs across the workers —
-// it is pure on DState values, and nothing is interned meanwhile — and
-// the successors are then interned on the calling goroutine in queue
-// order, so the numbering does not depend on the schedule.
-func (lz *Lazy) Fill(workers int) {
-	q, size := lz.queue, lz.ab.Size()
-	if cap(lz.next) < len(q) {
-		lz.next, lz.ok = make([]DState, len(q)), make([]bool, len(q))
-	}
-	next, ok := lz.next[:len(q)], lz.ok[:len(q)]
-	parbfs.For(len(q), workers, func(i int) {
-		next[i], ok[i] = lz.Det.Step(lz.in.At(space.State(q[i]/size)), lz.ab.Decode(q[i]%size))
-	})
-	for i, c := range q {
-		id := space.None
-		if ok[i] {
-			id = lz.intern(next[i])
-		}
-		lz.memo[c] = id
-	}
-	lz.queue = q[:0]
 }
