@@ -239,12 +239,12 @@ func BenchmarkLivenessEngines(b *testing.B) {
 func BenchmarkSpecEnumerate(b *testing.B) {
 	b.Run("nondet/ss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spec.NewNondet(spec.StrictSerializability, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+			spec.NewNondet(spec.StrictSerializability, 2, 2).Enumerate()
 		}
 	})
 	b.Run("nondet/op", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spec.NewNondet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+			spec.NewNondet(spec.Opacity, 2, 2).Enumerate()
 		}
 	})
 	b.Run("det/ss", func(b *testing.B) {
@@ -266,7 +266,7 @@ func BenchmarkSpecEquivalence(b *testing.B) {
 		if prop == spec.Opacity {
 			name = "op"
 		}
-		nd := spec.NewNondet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+		nd := spec.NewNondet(prop, 2, 2).Enumerate()
 		dt := spec.NewDet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -333,7 +333,7 @@ func BenchmarkSpecMembership(b *testing.B) {
 func BenchmarkAntichainVsDeterministic(b *testing.B) {
 	ts := explore.BuildWorkers(tm.NewDSTM(2, 2), nil, runtime.GOMAXPROCS(0))
 	dfa := spec.NewDet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
-	nfa := spec.NewNondet(spec.Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+	nfa := spec.NewNondet(spec.Opacity, 2, 2).Enumerate()
 	tmNFA := ts.NFA()
 	b.Run("deterministic-product", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

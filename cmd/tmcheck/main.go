@@ -39,11 +39,11 @@
 // command runs. All three feed off the same in-process event bus,
 // which stays disabled — at zero cost — when none of them is set.
 //
-// -workers sets the worker count of the parallel engines (state-space
-// exploration, specification enumeration, the on-the-fly search's TM
-// expansion ahead of the product, table-row fan-out); it
-// defaults to GOMAXPROCS, and -workers 1 restores the exact sequential
-// behavior. Results are bit-identical for every worker count.
+// -workers sets the worker count of the on-the-fly safety search's TM
+// expansion ahead of its product loop and of the table2/table3 row
+// fan-out; it defaults to GOMAXPROCS. Every state space — TM
+// exploration, specification enumeration, the products — runs one
+// sequential loop, so results are bit-identical for every worker count.
 //
 // -maxstates bounds the total number of states any check constructs
 // (TM states + spec states + product pairs); a check that would exceed
@@ -51,12 +51,12 @@
 // Every subcommand that explores a TM honors it: safety, liveness,
 // table2, table3 and all in both engines, plus the builds of table1,
 // count and dot. -maxmem bounds the heap the same way. -workers,
-// -maxstates and -maxmem travel as explicit values: into the job spec
-// for the verification commands (locally and with -remote) and into
-// the guard of every other build. -timeout bounds the whole command,
-// and Ctrl-C (SIGINT/SIGTERM) cancels in-flight checks at the same
-// polling points, so a stopped check reports the states it reached
-// deterministically.
+// -maxstates and -maxmem travel as explicit values into the job spec
+// for the verification commands (locally and with -remote); -maxstates
+// and -maxmem also guard every other build. -timeout bounds the whole
+// command, and Ctrl-C (SIGINT/SIGTERM) cancels in-flight checks at the
+// same polling points, so a stopped check reports the states it
+// reached deterministically.
 //
 // The table drivers (table2, table3, all) keep going when a row hits a
 // limit: the stopped cell renders as LIMIT(states|time|mem|cancelled|
@@ -105,7 +105,6 @@ import (
 	"tmcheck/internal/guard"
 	"tmcheck/internal/job"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/runtime"
 	"tmcheck/internal/safety"
 	"tmcheck/internal/spec"
@@ -120,14 +119,11 @@ var (
 	strictLimits bool
 )
 
-// workers resolves the -workers flag: GOMAXPROCS when unset.
-func workers() int { return parbfs.ResolveWorkers(gflags.Workers) }
-
-// buildBudgeted materializes one system at the -workers count under
-// ctx plus the -maxstates/-maxmem limits, so every subcommand that
-// builds a full transition system is guarded the same way.
+// buildBudgeted materializes one system under ctx plus the
+// -maxstates/-maxmem limits, so every subcommand that builds a full
+// transition system is guarded the same way.
 func buildBudgeted(ctx context.Context, alg tm.Algorithm, cm tm.ContentionManager) (*explore.TS, error) {
-	return explore.BuildGuarded(alg, cm, workers(), guard.New(ctx, gflags.MaxStates, gflags.MaxMem), nil)
+	return explore.BuildGuarded(alg, cm, guard.New(ctx, gflags.MaxStates, gflags.MaxMem), nil)
 }
 
 // limitSummary finishes a keep-going table run: limited checks get a
@@ -321,7 +317,7 @@ commands:
   all        run table1, table2, table3, specs and figures
 
 global flags (any command, before or after it):
-  -workers N        parallel-engine workers (default GOMAXPROCS; 1 = sequential)
+  -workers N        on-the-fly safety helpers and table row fan-out (default GOMAXPROCS)
   -maxstates N      abort any check constructing more than N states
   -timeout D        cancel outstanding checks after D (e.g. 30s, 5m)
   -maxmem BYTES     stop checks when the Go heap exceeds BYTES (e.g. 512m, 2g)
@@ -453,8 +449,8 @@ func runSpecs(args []string) error {
 	}
 	fmt.Printf("TM specifications for %d threads and %d variables (§5.3)\n", *n, *k)
 	for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-		nd := spec.NewNondet(prop, *n, *k).EnumerateWorkers(workers())
-		dt := spec.NewDet(prop, *n, *k).EnumerateWorkers(workers())
+		nd := spec.NewNondet(prop, *n, *k).Enumerate()
+		dt := spec.NewDet(prop, *n, *k).EnumerateWorkers(1)
 		min := dt.Minimize()
 		fmt.Printf("%-24s nondet %6d states, det %6d states, minimal %6d states\n",
 			prop.String()+":", nd.NumStates(), dt.NumStates(), min.NumStates())
@@ -574,8 +570,8 @@ func runCount(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ssCounts := automata.CountWords(spec.NewDet(spec.StrictSerializability, *n, *k).EnumerateWorkers(workers()), *maxLen)
-	opCounts := automata.CountWords(spec.NewDet(spec.Opacity, *n, *k).EnumerateWorkers(workers()), *maxLen)
+	ssCounts := automata.CountWords(spec.NewDet(spec.StrictSerializability, *n, *k).EnumerateWorkers(1), *maxLen)
+	opCounts := automata.CountWords(spec.NewDet(spec.Opacity, *n, *k).EnumerateWorkers(1), *maxLen)
 
 	type row struct {
 		name   string
@@ -707,7 +703,7 @@ func runMethodology(args []string) error {
 	if _, err := tm.NewAlgorithm(name, 2, 2); err != nil {
 		return err
 	}
-	rep := safety.VerifyViaReduction(name, factory, *seed, workers())
+	rep := safety.VerifyViaReduction(name, factory, *seed)
 	fmt.Print(rep)
 	return nil
 }

@@ -4,13 +4,12 @@ package main
 // guarantee: with the event bus enabled and every surface attached
 // (progress renderer, trace writer, a live subscriber), verdicts,
 // counterexamples, and the stats report are bit-identical to a run
-// with telemetry off — sequentially and with parallel workers.
+// with telemetry off — at one worker and at several.
 
 import (
 	"io"
 	"reflect"
 	"regexp"
-	"strings"
 	"testing"
 
 	"tmcheck/internal/obs"
@@ -31,25 +30,14 @@ func normalize(out string) string {
 	return padRE.ReplaceAllString(durRE.ReplaceAllString(out, "DUR"), " ")
 }
 
-// scrubGauges drops the gauges parbfs documents as hash-seed dependent
-// (Stats.MaxShardLoad); everything else must match exactly.
-func scrubGauges(gauges map[string]int64) map[string]int64 {
-	for key := range gauges {
-		if strings.HasSuffix(key, ".intern.max_shard_load") {
-			delete(gauges, key)
-		}
-	}
-	return gauges
-}
-
 // runQuiet runs a subcommand with telemetry off and returns its stdout
-// plus the deterministic half of the stats report.
+// plus the counters and gauges of the stats report.
 func runQuiet(t *testing.T, command string, args []string) (string, map[string]int64, map[string]int64) {
 	t.Helper()
 	obs.Default().Reset()
 	out := captureStdout(t, func() error { return dispatch(bgCtx, command, args) })
 	rep := obs.Default().Snapshot(command)
-	return normalize(out), rep.Counters, scrubGauges(rep.Gauges)
+	return normalize(out), rep.Counters, rep.Gauges
 }
 
 // runLoud runs the same subcommand with the bus enabled and all three
@@ -89,7 +77,7 @@ func runLoud(t *testing.T, command string, args []string) (string, map[string]in
 	}
 	bus.Unsubscribe(sub)
 	<-drained
-	return normalize(out), rep.Counters, scrubGauges(rep.Gauges)
+	return normalize(out), rep.Counters, rep.Gauges
 }
 
 // syncWriter discards writes; it only exists so the progress renderer

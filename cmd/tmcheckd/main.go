@@ -64,7 +64,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7078", "listen address")
 	jobs := flag.Int("jobs", 0, "concurrent job slots (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "default per-job engine workers for specs that leave it unset")
+	workers := flag.Int("workers", 0, "default per-job workers (on-the-fly safety helpers, table row fan-out) for specs that leave it unset")
 	maxStates := flag.Int("maxstates", 0, "default per-job state budget for specs that leave it unset")
 	timeout := flag.Duration("timeout", 0, "default per-job wall-clock limit for specs that leave it unset")
 	maxMemStr := flag.String("maxmem", "", "default per-job heap cap (e.g. 512m) for specs that leave it unset")

@@ -16,7 +16,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"tmcheck/internal/core"
 	"tmcheck/internal/explore"
@@ -118,7 +117,7 @@ func main() {
 				fmt.Printf("%-24s FAILS: %s\n", prop.String()+":", res.Counterexample)
 			}
 		}
-		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
+		ts := explore.BuildWorkers(alg, nil, 1)
 		of := liveness.CheckObstructionFreedom(ts)
 		if of.Holds {
 			fmt.Println("obstruction freedom:     HOLDS")
@@ -132,6 +131,6 @@ func main() {
 	// structural-property sampling at three instance sizes, which is what
 	// licenses the "all programs" conclusion.
 	rep := safety.VerifyViaReduction("globallock",
-		func(n, k int) tm.Algorithm { return &GlobalLockTM{n: n, k: k} }, 7, runtime.GOMAXPROCS(0))
+		func(n, k int) tm.Algorithm { return &GlobalLockTM{n: n, k: k} }, 7)
 	fmt.Print(rep)
 }

@@ -20,7 +20,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"tmcheck/internal/core"
 	"tmcheck/internal/explore"
@@ -30,9 +29,8 @@ import (
 )
 
 func main() {
-	workers := runtime.GOMAXPROCS(0)
-	modTS := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, workers)
-	res := safety.Check(modTS, spec.StrictSerializability, workers)
+	modTS := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, 1)
+	res := safety.Check(modTS, spec.StrictSerializability)
 	fmt.Printf("modified TL2 + polite: %d states\n", res.TMStates)
 	if res.Holds {
 		fmt.Println("unexpectedly safe — the bug did not reproduce")
@@ -74,8 +72,8 @@ func main() {
 		commits, core.IsStrictlySerializable(word))
 
 	// The unmodified TL2 — atomic validate — cannot emit this word.
-	tl2TS := explore.BuildWorkers(tm.NewTL2(2, 2), tm.Polite{}, workers)
+	tl2TS := explore.BuildWorkers(tm.NewTL2(2, 2), tm.Polite{}, 1)
 	fmt.Printf("unmodified TL2 accepts the word: %v\n", tl2TS.InLanguage(word))
-	safe := safety.Check(tl2TS, spec.Opacity, workers)
+	safe := safety.Check(tl2TS, spec.Opacity)
 	fmt.Printf("unmodified TL2 + polite ensures opacity: %v\n", safe.Holds)
 }

@@ -31,7 +31,6 @@ import (
 	"tmcheck/internal/core"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
@@ -68,15 +67,15 @@ type Edge struct {
 }
 
 // stateTable is the id-indexed product-state storage of a TS. The
-// generic engines keep boxed states (boxedStates); the packed engines
-// keep bit-packed keys and decode on demand (packedStates), so
+// generic scan keeps boxed states (boxedStates); the packed scan keeps
+// bit-packed keys and decodes on demand (packedStates), so
 // materializing a system never boxes every state.
 type stateTable interface {
 	Len() int
 	At(i int32) prodState
 }
 
-// boxedStates is the boxed state table of the generic engines.
+// boxedStates is the boxed state table of the generic scan.
 type boxedStates []prodState
 
 func (b boxedStates) Len() int             { return len(b) }
@@ -142,12 +141,11 @@ func (ts *TS) NumEdges() int {
 
 // BuildWorkers explores the TM algorithm applied to the most general
 // program on the algorithm's own thread and variable bounds; cm may be
-// nil. One worker runs the plain sequential exploration; more run the
-// level-synchronized parallel engine of internal/parbfs. The resulting
-// transition system — state numbering, edge order, and every downstream
-// verdict — is bit-identical for every worker count (see the parbfs
-// package comment for the argument; TestEngineEquivalence checks it on
-// the registry).
+// nil. The exploration is one sequential scan, so the worker count
+// changes nothing: the transition system — state numbering, edge
+// order, and every downstream verdict — is the same for every value
+// (TestEngineEquivalence checks it on the registry). Callers without a
+// count of their own pass 1.
 //
 // The exploration records its vitals into the obs registry under
 // "explore.<system>.*": reachable states, edges, ε-steps (pending ⊥
@@ -157,7 +155,7 @@ func (ts *TS) NumEdges() int {
 // BuildWorkers is unguarded: a panicking TM algorithm panics through.
 // Callers that need limits or panic isolation use BuildGuarded.
 func BuildWorkers(alg tm.Algorithm, cm tm.ContentionManager, workers int) *TS {
-	ts, err := BuildGuarded(alg, cm, workers, nil, nil) // unbounded: only a TM panic can fail it
+	ts, err := BuildGuarded(alg, cm, nil, nil) // unbounded: only a TM panic can fail it
 	if err != nil {
 		panic(err)
 	}
@@ -166,19 +164,18 @@ func BuildWorkers(alg tm.Algorithm, cm tm.ContentionManager, workers int) *TS {
 
 // BuildGuarded is the guarded builder: the exploration honors the
 // guard's context (deadline and cancellation), state budget, and heap
-// watchdog — consulted per state by the sequential scan and at level
-// barriers by the parallel engine, which may therefore overshoot the
-// budget by one BFS level — and a panic in the TM algorithm is
+// watchdog, all consulted before every state is expanded, so a budget
+// trips at an exact state count; and a panic in the TM algorithm is
 // isolated into a *guard.LimitError instead of crashing. A nil guard
 // sets no limits.
 //
 // A non-nil prov supplies the persistence hooks for this system: the
 // scan seeds from Persist.Resume, streams level deltas into
-// Persist.Sink, and allocates its flat key storage through the spill
-// growers. The resulting system — numbering, adjacency, verdicts — is
+// Persist.Sink, and allocates its flat key storage through
+// Persist.Grow. The resulting system — numbering, adjacency, verdicts — is
 // bit-identical to an uninterrupted unpersisted build; TS.Resumed
 // reports how many states came from the snapshot.
-func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, prov PersistProvider) (*TS, error) {
+func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, prov PersistProvider) (*TS, error) {
 	var p *Persist
 	if prov != nil {
 		var err error
@@ -188,92 +185,79 @@ func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *gua
 	}
 	start := time.Now()
 	ts := &TS{Alg: alg, CM: cm, Alphabet: core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}}
-	out, states, pstats, resumed, err := scan(alg, cm, workers, g, nil, p)
+	out, states, resumed, err := scan(alg, cm, g, nil, p)
 	if err != nil {
 		return nil, err
 	}
 	ts.Out, ts.states, ts.Resumed = out, states, resumed
-	ts.record(start, workers, pstats)
+	ts.record(start)
 	return ts, nil
 }
 
 // Barrier is the level-boundary hook of ScanLevels. It fires once per
-// BFS level with the adjacency constructed so far: states with ids
-// below expanded have their outgoing edges resolved in out, states in
-// [expanded, interned) are discovered but not yet expanded (their out
-// entry is nil or absent — len(out) may be either expanded or interned,
-// so treat missing tails as edgeless). Every edge target is below
+// BFS level with the adjacency constructed so far: len(out) ==
+// expanded, and the states with ids below expanded have their outgoing
+// edges resolved in out; states in [expanded, interned) are discovered
+// but not yet expanded and have no entry. Every edge target is below
 // interned. The final call of a completed scan has expanded == interned
 // == the total state count. A non-nil return stops the scan and is
 // returned verbatim.
 //
-// Both the sequential scan and the level-synchronized parallel engine
-// produce the identical barrier sequence — (cum(0), cum(1)), (cum(1),
-// cum(2)), …, (total, total), where cum(L) counts the states in BFS
-// levels 0..L — because the numbering is canonical; this is what lets
-// the on-the-fly liveness engine promise bit-identical verdicts at any
-// worker count.
+// The barrier sequence is (cum(0), cum(1)), (cum(1), cum(2)), …,
+// (total, total), where cum(L) counts the states in BFS levels 0..L —
+// a function of the canonical numbering alone, which the materialized
+// liveness checks replay from a built TS (TS.LevelSizes).
 type Barrier func(out [][]Edge, interned, expanded int) error
 
 // ScanLevels lazily unfolds the TM×CM product in canonical scan order,
 // calling barrier at every BFS level boundary, without materializing a
 // TS. The on-the-fly liveness engine drives its lasso probes from this.
 // The guard's context, state budget, and heap watchdog are consulted
-// per state in the sequential scan and at level barriers in the
-// parallel engine, always before the barrier hook at the same boundary
-// — so a blown budget is reported in preference to whatever the hook
-// would have found there, and a cancelled or timed-out scan still
-// observes a prefix of the identical canonical barrier sequence at
-// every worker count.
-func ScanLevels(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier) error {
-	_, _, _, _, err := scan(alg, cm, workers, g, barrier, nil)
+// before every state is expanded, and before the barrier hook at the
+// same boundary — so a blown budget is reported in preference to
+// whatever the hook would have found there, and a cancelled or
+// timed-out scan still observes a prefix of the canonical barrier
+// sequence.
+func ScanLevels(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier) error {
+	_, _, _, err := scan(alg, cm, g, barrier, nil)
 	return err
 }
 
 // scan is the exploration engine under BuildGuarded and ScanLevels:
-// scan-order BFS to the fixpoint (sequential for one worker, parbfs for
-// more), with an optional guard, an optional per-level barrier hook and
-// optional persistence hooks, inside a panic-isolation capture.
-// Products whose TM and manager both pack (packedFor) run on the
-// bit-packed open-addressing core; everything else takes the generic
-// boxed path. All four engines produce bit-identical adjacency and
-// numbering. Checkpoint/resume and spill exist only on the packed
-// engines (the boxed paths have no canonical byte representation to
-// persist), so a persisting build of an unpackable product fails
+// scan-order BFS to the fixpoint, with an optional guard, an optional
+// per-level barrier hook and optional persistence hooks, inside a
+// panic-isolation capture. Products whose TM and manager both pack
+// (packedFor) run on the bit-packed open-addressing core; everything
+// else takes the generic boxed path. Both produce bit-identical
+// adjacency and numbering. Checkpoint/resume and spill exist only on
+// the packed scan (the boxed path has no canonical byte representation
+// to persist), so a persisting build of an unpackable product fails
 // loudly instead of silently discarding the work it was asked to keep.
-func scan(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier, p *Persist) (out [][]Edge, states stateTable, pstats parbfs.Stats, resumed int, err error) {
+func scan(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier, p *Persist) (out [][]Edge, states stateTable, resumed int, err error) {
 	pc := packedFor(alg, cm)
-	if p != nil && pc == nil && (p.Resume != nil || p.Sink != nil || p.Grow != nil || p.GrowShard != nil) {
-		return nil, nil, pstats, 0, errNotPackable(alg, cm)
+	if p != nil && pc == nil && (p.Resume != nil || p.Sink != nil || p.Grow != nil) {
+		return nil, nil, 0, errNotPackable(alg, cm)
 	}
 	err = guard.Capture(func() error {
 		var ierr error
-		if workers <= 1 {
-			if pc != nil {
-				out, states, resumed, ierr = scanSeqPacked(pc, alg, cm, g, barrier, p)
-			} else {
-				out, states, ierr = scanSeq(alg, cm, g, barrier)
-			}
-			return ierr
-		}
 		if pc != nil {
-			out, states, pstats, resumed, ierr = scanParPacked(pc, alg, cm, workers, g, barrier, p)
+			out, states, resumed, ierr = scanPacked(pc, alg, cm, g, barrier, p)
 		} else {
-			out, states, pstats, ierr = scanPar(alg, cm, workers, g, barrier)
+			out, states, ierr = scanBoxed(alg, cm, g, barrier)
 		}
 		return ierr
 	})
 	if err != nil {
 		out, states = nil, nil
 	}
-	return out, states, pstats, resumed, err
+	return out, states, resumed, err
 }
 
-// scanSeq is the sequential scan-order BFS over the boxed unfolding,
+// scanBoxed is the sequential scan-order BFS over the boxed unfolding,
 // interning successors on first sight and recording the resolved edges
 // per state. The guard is exact (checked per state, before the barrier
 // at the same boundary).
-func scanSeq(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier) ([][]Edge, stateTable, error) {
+func scanBoxed(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier) ([][]Edge, stateTable, error) {
 	u := newUnfolding(alg, cm)
 	in := space.NewInterner[prodState]()
 	in.Intern(u.initial())
@@ -358,77 +342,11 @@ func newLevelEmitter(name string) func(interned, expanded int) {
 	}
 }
 
-// scanPar is the frontier-parallel exploration: each BFS level is
-// expanded by a worker pool interning into parbfs's sharded table, and
-// state numbering is canonicalized at every level barrier so the result
-// matches scanSeq bit for bit. The guard and barrier hook both run at
-// the level barriers (guard first), where the canonical numbering of
-// all completed levels is already assigned.
-func scanPar(alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier) ([][]Edge, stateTable, parbfs.Stats, error) {
-	// parbfs owns the interning; the unfolding only enumerates.
-	u := newUnfolding(alg, cm)
-	var out [][]Edge
-	var states []prodState
-	var control func(n int) error
-	emit := newLevelEmitter(systemLabel(alg, cm))
-	if g.Active() || barrier != nil || emit != nil {
-		// prevInterned is the interned count at the previous barrier —
-		// exactly the states already expanded when this one fires.
-		prevInterned := 1
-		control = func(n int) error {
-			if err := g.Check(n); err != nil {
-				return err
-			}
-			if emit != nil {
-				emit(n, prevInterned)
-			}
-			if barrier != nil {
-				if err := barrier(out, n, prevInterned); err != nil {
-					return err
-				}
-			}
-			prevInterned = n
-			return nil
-		}
-	}
-	// pendEdges[id] buffers state id's edge templates (To unresolved)
-	// between the expand and finish passes of its level.
-	var pendEdges [][]Edge
-	pstats, err := parbfs.RunControlled(u.initial(), workers, control,
-		func(id int, emit func(prodState)) {
-			q := states[id]
-			var buf []Edge
-			u.expand(q, func(next prodState, e Edge) {
-				buf = append(buf, e)
-				emit(next)
-			})
-			pendEdges[id] = buf
-		},
-		func(id int, s prodState) {
-			states = append(states, s)
-			out = append(out, nil)
-			pendEdges = append(pendEdges, nil)
-		},
-		func(id int, succ []int32) {
-			edges := pendEdges[id]
-			for j := range edges {
-				edges[j].To = succ[j]
-			}
-			out[id] = edges
-			pendEdges[id] = nil
-		},
-	)
-	if err != nil {
-		return nil, nil, pstats, err
-	}
-	return out, boxedStates(states), pstats, nil
-}
-
 // record batches the exploration statistics into the obs registry, so
-// the hot loops above carry no per-edge instrumentation cost. All
-// counter and gauge values except the intern-shard load are derived
-// from the final graph, so they are identical for every worker count.
-func (ts *TS) record(start time.Time, workers int, pstats parbfs.Stats) {
+// the hot loops above carry no per-edge instrumentation cost. Every
+// counter and gauge is derived from the final graph, so it is the same
+// on every run.
+func (ts *TS) record(start time.Time) {
 	if !obs.Enabled() {
 		return
 	}
@@ -466,21 +384,15 @@ func (ts *TS) record(start time.Time, workers int, pstats parbfs.Stats) {
 	obs.Inc(key+".abort_edges", int64(aborts))
 	obs.Inc(key+".intern.dup_hits", int64(ts.NumEdges()-(ts.NumStates()-1)))
 	obs.MaxGauge(key+".frontier_max", int64(maxFrontier))
-	obs.SetGauge(key+".workers", int64(workers))
 	recordFrontierHist(key, ts.LevelSizes())
-	if pstats.Shards > 0 {
-		obs.SetGauge(key+".intern.shards", int64(pstats.Shards))
-		obs.MaxGauge(key+".intern.max_shard_load", int64(pstats.MaxShardLoad))
-	}
 	obs.AddTime(key+".build", time.Since(start))
 }
 
-// LevelSizes returns the BFS level populations of the final graph
-// (identical to the per-level frontiers of the parallel engine, and
-// engine independent since both numberings are canonical). Because the
-// numbering is first-sight scan order, level L occupies the contiguous
-// id range [cum(L-1), cum(L)); the materialized liveness checks use
-// these prefix boundaries to replay the on-the-fly probe schedule.
+// LevelSizes returns the BFS level populations of the final graph.
+// Because the numbering is first-sight scan order, level L occupies the
+// contiguous id range [cum(L-1), cum(L)); the materialized liveness
+// checks use these prefix boundaries to replay the on-the-fly probe
+// schedule.
 func (ts *TS) LevelSizes() []int {
 	dist := make([]int32, len(ts.Out))
 	for i := range dist {

@@ -7,7 +7,6 @@ import (
 	"tmcheck/internal/core"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/pack"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/tm"
 )
 
@@ -33,7 +32,7 @@ import (
 const pendBits = 7
 
 // packedIface is the non-generic view of packedCore[S] the scan loops
-// drive; one value is single-goroutine, clone() makes per-worker copies.
+// drive; one value is single-goroutine, clone() makes per-helper copies.
 type packedIface interface {
 	keyWords() int
 	// keyBits is the exact bit width of the product key — part of the
@@ -48,7 +47,7 @@ type packedIface interface {
 	// immediately) and the edge with To unset.
 	expandKey(key []uint64, yield func(next []uint64, e Edge))
 	// clone returns a core sharing the immutable configuration with
-	// fresh expansion scratch, for one parallel worker.
+	// fresh expansion scratch, for one Lazy.Prefetch helper.
 	clone() packedIface
 	// stateAt decodes a key into the boxed product state (cold path:
 	// state-table reads by tests, witnesses, and the restricted builder).
@@ -97,7 +96,7 @@ type packedCore[S comparable] struct {
 	bits     int
 	cmBits   int
 
-	// Expansion scratch (one goroutine per core; clone() for workers).
+	// Expansion scratch (one goroutine per core; clone() for helpers).
 	q         S
 	pend      [tm.MaxThreads]pending
 	cmw       uint64
@@ -329,40 +328,26 @@ func (a *arena[T]) place(es []T) []T {
 	return a.cur[start:len(a.cur):len(a.cur)]
 }
 
-// packedStates is the packed state table: keys stay bit-packed (either
-// still inside the sequential scan's intern table or in the parallel
-// scan's flat word slice) and decode to boxed product states on demand.
+// packedStates is the packed state table: keys stay bit-packed inside
+// the scan's intern table and decode to boxed product states on demand.
 type packedStates struct {
-	pc    packedIface
-	kw    int
-	in    *pack.Map // sequential path
-	words []uint64  // parallel path
+	pc packedIface
+	in *pack.Map
 }
 
-func (p *packedStates) Len() int {
-	if p.in != nil {
-		return p.in.Len()
-	}
-	return len(p.words) / p.kw
-}
+func (p *packedStates) Len() int { return p.in.Len() }
 
-func (p *packedStates) At(i int32) prodState {
-	if p.in != nil {
-		return p.pc.stateAt(p.in.KeyAt(i))
-	}
-	off := int(i) * p.kw
-	return p.pc.stateAt(p.words[off : off+p.kw])
-}
+func (p *packedStates) At(i int32) prodState { return p.pc.stateAt(p.in.KeyAt(i)) }
 
-// scanSeqPacked is scanSeq over packed keys: one open-addressing intern
+// scanPacked is scanBoxed over packed keys: one open-addressing intern
 // table, a reused per-state edge scratch, and the chunked edge arena.
-// Barrier and guard semantics match scanSeq exactly. Under persistence
+// Barrier and guard semantics match scanBoxed exactly. Under persistence
 // hooks the scan seeds from the snapshot prefix (re-interning the keys
 // in id order, so the numbering continues canonically), streams each
 // level delta into the sink before consulting the guard at the same
 // boundary (a tripped limit keeps the prefix it just persisted), and
 // rebacks the intern table's key storage through the spill grower.
-func scanSeqPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier, p *Persist) ([][]Edge, stateTable, int, error) {
+func scanPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier, p *Persist) ([][]Edge, stateTable, int, error) {
 	kw := pc.keyWords()
 	in := pack.NewMap(kw, 0)
 	if p != nil && p.Grow != nil {
@@ -450,156 +435,5 @@ func scanSeqPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g 
 			return nil, nil, resumed, err
 		}
 	}
-	return out, &packedStates{pc: pc, kw: kw, in: in}, resumed, nil
-}
-
-// parCtx is one parallel worker's expansion context; its yield closure
-// is built once (capturing only the context), mirroring scanPar's
-// buffered two-pass edge resolution without per-state closures.
-type parCtx struct {
-	buf     []Edge
-	emitKey func([]uint64)
-	yield   func([]uint64, Edge)
-}
-
-func newParCtx() *parCtx {
-	ctx := &parCtx{}
-	ctx.yield = func(next []uint64, e Edge) {
-		ctx.buf = append(ctx.buf, e)
-		ctx.emitKey(next)
-	}
-	return ctx
-}
-
-// scanParPacked is scanPar over packed keys: parbfs owns the sharded
-// open-addressing interning, per-worker cores expand decoded keys, and
-// per-worker arenas hold the edge storage. Under persistence hooks it
-// seeds the engine's visited tables and frontier from the snapshot
-// prefix (the canonical numbering makes the seeded ids identical to
-// what an uninterrupted run would have assigned), streams level deltas
-// into the sink at each barrier before the guard, and rebacks both the
-// flat key slice and the per-shard tables through the spill growers.
-func scanParPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, workers int, g *guard.Guard, barrier Barrier, p *Persist) ([][]Edge, stateTable, parbfs.Stats, int, error) {
-	kw := pc.keyWords()
-	var words []uint64
-	var out [][]Edge
-	var pendEdges [][]Edge
-	var grow pack.GrowFunc
-	var opts parbfs.PackedOpts
-	resumed := 0
-	if p != nil {
-		grow = p.Grow
-		opts.KeyBacking = p.GrowShard
-	}
-	var initKey [pack.MaxWords]uint64
-	pc.writeInit(initKey[:kw])
-	keyAt := func(i int32) []uint64 {
-		off := int(i) * kw
-		return words[off : off+kw]
-	}
-
-	expandedAtBarrier := 1
-	if p != nil && p.Resume != nil && p.Resume.Interned > 0 {
-		r := p.Resume
-		for j := 0; j < kw; j++ {
-			if r.Keys[j] != initKey[j] {
-				return nil, nil, parbfs.Stats{}, 0, fmt.Errorf("explore: snapshot prefix for %s does not match this system's initial state", systemLabel(alg, cm))
-			}
-		}
-		if grow != nil {
-			words = grow(len(r.Keys), words)
-		}
-		words = append(words, r.Keys...)
-		out = append(out, r.Out...)
-		for len(out) < r.Interned {
-			out = append(out, nil)
-		}
-		pendEdges = make([][]Edge, r.Interned)
-		opts.Seed = &parbfs.PackedSeed{Keys: r.Keys, Frontier: r.Expanded}
-		resumed = r.Interned
-		expandedAtBarrier = r.Interned
-	}
-
-	flush := newSinkFlusher(p)
-	var control func(n int) error
-	emit := newLevelEmitter(systemLabel(alg, cm))
-	if g.Active() || barrier != nil || emit != nil || flush != nil {
-		// prevInterned is the interned count at the previous barrier —
-		// exactly the states already expanded when this one fires.
-		prevInterned := expandedAtBarrier
-		control = func(n int) error {
-			if err := flush.flush(keyAt, out, n, prevInterned); err != nil {
-				return err
-			}
-			if err := g.Check(n); err != nil {
-				return err
-			}
-			if emit != nil {
-				emit(n, prevInterned)
-			}
-			if barrier != nil {
-				if err := barrier(out, n, prevInterned); err != nil {
-					return err
-				}
-			}
-			prevInterned = n
-			return nil
-		}
-	}
-
-	cores := make([]packedIface, workers)
-	arenas := make([]*arena[Edge], workers)
-	ctxs := make([]*parCtx, workers)
-	for w := 0; w < workers; w++ {
-		cores[w] = pc.clone()
-		arenas[w] = &arena[Edge]{chunkSize: 64}
-		ctxs[w] = newParCtx()
-	}
-
-	pstats, err := parbfs.RunPackedOpts(kw, initKey[:kw], workers, opts, control,
-		func(w, id int, emitKey func(key []uint64)) {
-			if chaos.Fire(chaos.SiteWorkerPanic) {
-				// The parbfs pool recovers worker panics into a
-				// LIMIT(panic) at the level barrier, exactly like a
-				// crashing registry TM.
-				panic(fmt.Errorf("%w: worker %d panic expanding state %d", chaos.ErrInjected, w, id))
-			}
-			ctx := ctxs[w]
-			ctx.buf = ctx.buf[:0]
-			ctx.emitKey = emitKey
-			cores[w].expandKey(words[id*kw:(id+1)*kw], ctx.yield)
-			pendEdges[id] = arenas[w].place(ctx.buf)
-		},
-		func(id int, key []uint64) {
-			if grow != nil {
-				if need := len(words) + kw; need > cap(words) {
-					words = grow(need, words)
-				}
-			}
-			words = append(words, key...)
-			out = append(out, nil)
-			pendEdges = append(pendEdges, nil)
-		},
-		func(w, id int, succ []int32) {
-			edges := pendEdges[id]
-			for j := range edges {
-				edges[j].To = succ[j]
-			}
-			out[id] = edges
-			pendEdges[id] = nil
-		},
-	)
-	if err != nil {
-		return nil, nil, pstats, resumed, err
-	}
-	// A fully expanded snapshot never enters the engine loop; its final
-	// (total, total) barrier state is already persisted, so there is
-	// nothing left to flush.
-	if flush != nil {
-		n := len(words) / kw
-		if err := flush.flush(keyAt, out, n, n); err != nil {
-			return nil, nil, pstats, resumed, err
-		}
-	}
-	return out, &packedStates{pc: pc, kw: kw, words: words}, pstats, resumed, nil
+	return out, &packedStates{pc: pc, in: in}, resumed, nil
 }

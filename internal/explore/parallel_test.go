@@ -1,8 +1,9 @@
-// Engine-equivalence cross-check: the parallel explorer must reproduce
-// the sequential one bit for bit — state numbering, edge lists, and
-// every downstream safety verdict and counterexample — on every TM in
-// the registry. It lives in an external test package so it can drive
-// the safety checker without an import cycle.
+// Worker-count cross-check: a build at four workers must reproduce the
+// one-worker build bit for bit — state numbering, edge lists, and every
+// downstream safety verdict and counterexample — on every TM in the
+// registry, since the exploration is one sequential scan whatever the
+// count. It lives in an external test package so it can drive the
+// safety checker without an import cycle.
 package explore_test
 
 import (
@@ -50,27 +51,27 @@ func TestEngineEquivalence(t *testing.T) {
 				par := explore.BuildWorkers(sys.Alg, sys.CM, 4)
 
 				if par.NumStates() != seq.NumStates() {
-					t.Fatalf("parallel engine: %d states, sequential %d",
+					t.Fatalf("workers=4: %d states, one worker %d",
 						par.NumStates(), seq.NumStates())
 				}
 				for i := int32(0); int(i) < seq.NumStates(); i++ {
 					if !reflect.DeepEqual(par.StateAt(i), seq.StateAt(i)) {
-						t.Fatalf("parallel engine: state %d diverges", i)
+						t.Fatalf("workers=4: state %d diverges", i)
 					}
 				}
 				if !reflect.DeepEqual(par.Out, seq.Out) {
-					t.Fatal("parallel engine: edge lists diverge")
+					t.Fatal("workers=4: edge lists diverge")
 				}
 
 				for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-					rs := safety.Check(seq, prop, 1)
-					rp := safety.Check(par, prop, 4)
+					rs := safety.Check(seq, prop)
+					rp := safety.Check(par, prop)
 					if rs.Holds != rp.Holds {
-						t.Fatalf("%s: verdicts diverge: sequential %v, parallel %v",
+						t.Fatalf("%s: verdicts diverge: one worker %v, four %v",
 							prop.Key(), rs.Holds, rp.Holds)
 					}
 					if !reflect.DeepEqual(rs.Counterexample, rp.Counterexample) {
-						t.Fatalf("%s: counterexamples diverge:\n  sequential: %v\n  parallel:   %v",
+						t.Fatalf("%s: counterexamples diverge:\n  one worker:   %v\n  four workers: %v",
 							prop.Key(), rs.Counterexample, rp.Counterexample)
 					}
 				}

@@ -7,15 +7,14 @@ import (
 	"tmcheck/internal/tm"
 )
 
-// The checkpoint/resume vocabulary of the packed engines. The
-// persistence layer itself (internal/snap) lives above explore; this
-// file defines only what the scans need to see: a canonical prefix to
-// seed from, a sink to stream level deltas into, and optional
-// spill-backed allocators for the flat key storage. Because the
-// per-level numbering is bit-identical across engines and worker
-// counts, the interned prefix at any level barrier is canonical — a
-// snapshot taken there resumes to the same states, edges, and verdicts
-// no matter which engine continues it.
+// The checkpoint/resume vocabulary of the packed scan. The persistence
+// layer itself (internal/snap) lives above explore; this file defines
+// only what the scan needs to see: a canonical prefix to seed from, a
+// sink to stream level deltas into, and an optional spill-backed
+// allocator for the flat key storage. Because the numbering is
+// first-sight scan order, the interned prefix at any level barrier is
+// canonical — a snapshot taken there resumes to the same states, edges,
+// and verdicts no matter which check continues it.
 
 // ResumeState is a canonical exploration prefix captured at a level
 // barrier: all interned keys in id order (flat, stride = key words),
@@ -40,14 +39,12 @@ type LevelSink interface {
 
 // Persist bundles the checkpoint/resume/spill hooks of one build. Any
 // field may be nil: Resume seeds the scan from a canonical prefix,
-// Sink streams level deltas out, Grow rebacks the flat key storage
-// (sequential intern table, parallel key slice), and GrowShard rebacks
-// the parallel engine's per-shard visited tables.
+// Sink streams level deltas out, and Grow rebacks the intern table's
+// flat key storage.
 type Persist struct {
-	Resume    *ResumeState
-	Sink      LevelSink
-	Grow      pack.GrowFunc
-	GrowShard func(shard int) pack.GrowFunc
+	Resume *ResumeState
+	Sink   LevelSink
+	Grow   pack.GrowFunc
 }
 
 // PersistProvider resolves the persistence hooks for one system of a

@@ -13,15 +13,15 @@ import (
 	"tmcheck/internal/tm"
 )
 
-// cancelTrace scans dstm at (2,2) with the given worker count,
-// recording each barrier's (expanded, interned) pair, and cancels
-// the context from inside barrier number cancelAt (0 = never).
-func cancelTrace(t *testing.T, workers, cancelAt int) ([][2]int, error) {
+// cancelTrace scans dstm at (2,2), recording each barrier's
+// (expanded, interned) pair, and cancels the context from inside
+// barrier number cancelAt (0 = never).
+func cancelTrace(t *testing.T, cancelAt int) ([][2]int, error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var trace [][2]int
-	err := ScanLevels(tm.NewDSTM(2, 2), nil, workers, guard.New(ctx, 0, 0),
+	err := ScanLevels(tm.NewDSTM(2, 2), nil, guard.New(ctx, 0, 0),
 		func(out [][]Edge, interned, expanded int) error {
 			trace = append(trace, [2]int{expanded, interned})
 			if len(trace) == cancelAt {
@@ -33,12 +33,12 @@ func cancelTrace(t *testing.T, workers, cancelAt int) ([][2]int, error) {
 }
 
 // TestCancellationDeterminism is the determinism contract of guarded
-// stops: cancelling at a fixed barrier yields the identical barrier
-// trace — the same (expanded, interned) prefix of the uncancelled scan
-// — at every worker count, with the typed cancellation error. A limited
-// run is a prefix of the full run, never a different run.
+// stops: cancelling at a fixed barrier yields the same (expanded,
+// interned) prefix of the uncancelled scan's barrier trace, with the
+// typed cancellation error. A limited run is a prefix of the full run,
+// never a different run.
 func TestCancellationDeterminism(t *testing.T) {
-	full, err := cancelTrace(t, 1, 0)
+	full, err := cancelTrace(t, 0)
 	if err != nil {
 		t.Fatalf("uncancelled scan failed: %v", err)
 	}
@@ -46,23 +46,20 @@ func TestCancellationDeterminism(t *testing.T) {
 	if len(full) <= cancelAt {
 		t.Fatalf("scan has only %d barriers, need > %d", len(full), cancelAt)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		trace, err := cancelTrace(t, workers, cancelAt)
-		if !errors.Is(err, guard.ErrCancelled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want cancellation", workers, err)
-		}
-		var le *guard.LimitError
-		if !errors.As(err, &le) || le.Kind != guard.KindCancelled {
-			t.Fatalf("workers=%d: err = %v, want *guard.LimitError{KindCancelled}", workers, err)
-		}
-		if len(trace) != cancelAt {
-			t.Errorf("workers=%d: %d barriers ran after cancelling at %d", workers, len(trace), cancelAt)
-			continue
-		}
-		for i, pair := range trace {
-			if pair != full[i] {
-				t.Errorf("workers=%d: barrier %d = %v, full run has %v", workers, i, pair, full[i])
-			}
+	trace, err := cancelTrace(t, cancelAt)
+	if !errors.Is(err, guard.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want cancellation", err)
+	}
+	var le *guard.LimitError
+	if !errors.As(err, &le) || le.Kind != guard.KindCancelled {
+		t.Fatalf("err = %v, want *guard.LimitError{KindCancelled}", err)
+	}
+	if len(trace) != cancelAt {
+		t.Fatalf("%d barriers ran after cancelling at %d", len(trace), cancelAt)
+	}
+	for i, pair := range trace {
+		if pair != full[i] {
+			t.Errorf("barrier %d = %v, full run has %v", i, pair, full[i])
 		}
 	}
 }
@@ -82,44 +79,40 @@ func (p panicAfter) Steps(q tm.State, c core.Command, t core.Thread) []tm.Step {
 	return p.Algorithm.Steps(q, c, t)
 }
 
-// TestBuildGuardedIsolatesPanics crashes the TM mid-exploration at
-// several worker counts: the build must return a typed
-// *guard.LimitError carrying the panic value and a stack trace instead
-// of crashing the process (workers > 1 exercises the parbfs worker
-// recovery; workers = 1 the sequential Capture path).
+// TestBuildGuardedIsolatesPanics crashes the TM mid-exploration: the
+// build must return a typed *guard.LimitError carrying the panic value
+// and a stack trace instead of crashing the process.
 func TestBuildGuardedIsolatesPanics(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		var calls atomic.Int64
-		alg := panicAfter{Algorithm: tm.NewDSTM(2, 2), calls: &calls, after: 100}
-		ts, err := BuildGuarded(alg, nil, workers, nil, nil)
-		if ts != nil {
-			t.Errorf("workers=%d: got a transition system from a crashed build", workers)
-		}
-		if !errors.Is(err, guard.ErrPanic) {
-			t.Fatalf("workers=%d: err = %v, want panic limit", workers, err)
-		}
-		var le *guard.LimitError
-		if !errors.As(err, &le) {
-			t.Fatalf("workers=%d: err = %v, want *guard.LimitError", workers, err)
-		}
-		if le.Kind != guard.KindPanic || le.Value == nil || len(le.Stack) == 0 {
-			t.Errorf("workers=%d: limit = kind %v value %v stack %d bytes, want isolated panic with stack",
-				workers, le.Kind, le.Value, len(le.Stack))
-		}
+	var calls atomic.Int64
+	alg := panicAfter{Algorithm: tm.NewDSTM(2, 2), calls: &calls, after: 100}
+	ts, err := BuildGuarded(alg, nil, nil, nil)
+	if ts != nil {
+		t.Error("got a transition system from a crashed build")
+	}
+	if !errors.Is(err, guard.ErrPanic) {
+		t.Fatalf("err = %v, want panic limit", err)
+	}
+	var le *guard.LimitError
+	if !errors.As(err, &le) {
+		t.Fatalf("err = %v, want *guard.LimitError", err)
+	}
+	if le.Kind != guard.KindPanic || le.Value == nil || len(le.Stack) == 0 {
+		t.Errorf("limit = kind %v value %v stack %d bytes, want isolated panic with stack",
+			le.Kind, le.Value, len(le.Stack))
 	}
 }
 
 // TestScanLevelsMemoryWatchdog grows the heap from the barrier hook —
 // 16KiB retained per interned state — under a -maxmem cap 16MiB above
-// the current heap. The parallel scans consult the guard only at level
-// barriers, so the watchdog's schedule must follow the states a barrier
-// covers, not the number of barriers: at every worker count the scan
-// must stop at or before the first barrier after the one whose growth
-// passed the cap, long before dstm (2,2) is fully interned.
+// the current heap. The heap is only sampled every so many guard
+// polls, so the watchdog's schedule must follow the states scanned, not
+// the number of polls: the scan must stop at or before the first
+// barrier after the one whose growth passed the cap, long before dstm
+// (2,2) is fully interned.
 func TestScanLevelsMemoryWatchdog(t *testing.T) {
 	const headroom, perState = 16 << 20, 16 << 10
 	var levels []int // interned count at each barrier of the full scan
-	if err := ScanLevels(tm.NewDSTM(2, 2), nil, 1, nil, func(_ [][]Edge, interned, _ int) error {
+	if err := ScanLevels(tm.NewDSTM(2, 2), nil, nil, func(_ [][]Edge, interned, _ int) error {
 		levels = append(levels, interned)
 		return nil
 	}); err != nil {
@@ -136,29 +129,26 @@ func TestScanLevelsMemoryWatchdog(t *testing.T) {
 	if bound == 0 || bound == levels[len(levels)-1] {
 		t.Fatalf("barriers %v leave no room to stop before the scan ends", levels)
 	}
-	for _, workers := range []int{1, 4} {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		var retained [][]byte
-		err := ScanLevels(tm.NewDSTM(2, 2), nil, workers, guard.New(nil, 0, ms.HeapAlloc+headroom),
-			func(_ [][]Edge, interned, _ int) error {
-				for len(retained) < interned {
-					chunk := make([]byte, perState)
-					chunk[0] = 1 // touch so the page is really committed
-					retained = append(retained, chunk)
-				}
-				return nil
-			})
-		runtime.KeepAlive(retained)
-		var le *guard.LimitError
-		if !errors.As(err, &le) || le.Kind != guard.KindMemory {
-			t.Fatalf("workers=%d: err = %v after retaining %s, want a memory limit",
-				workers, err, guard.FormatBytes(uint64(len(retained)*perState)))
-		}
-		if le.Visited > bound {
-			t.Errorf("workers=%d: tripped at %d states, want at most %d (barriers %v)",
-				workers, le.Visited, bound, levels)
-		}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	var retained [][]byte
+	err := ScanLevels(tm.NewDSTM(2, 2), nil, guard.New(nil, 0, ms.HeapAlloc+headroom),
+		func(_ [][]Edge, interned, _ int) error {
+			for len(retained) < interned {
+				chunk := make([]byte, perState)
+				chunk[0] = 1 // touch so the page is really committed
+				retained = append(retained, chunk)
+			}
+			return nil
+		})
+	runtime.KeepAlive(retained)
+	var le *guard.LimitError
+	if !errors.As(err, &le) || le.Kind != guard.KindMemory {
+		t.Fatalf("err = %v after retaining %s, want a memory limit",
+			err, guard.FormatBytes(uint64(len(retained)*perState)))
+	}
+	if le.Visited > bound {
+		t.Errorf("tripped at %d states, want at most %d (barriers %v)", le.Visited, bound, levels)
 	}
 }

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 
 	"tmcheck/internal/guard"
@@ -17,35 +16,37 @@ type barrierTrace struct {
 	edges              [][]int32 // successor ids of each expanded state, in order
 }
 
-func traceScan(t *testing.T, alg tm.Algorithm, cm tm.ContentionManager, workers int) barrierTrace {
+func traceScan(t *testing.T, alg tm.Algorithm, cm tm.ContentionManager) barrierTrace {
 	t.Helper()
 	var tr barrierTrace
-	err := ScanLevels(alg, cm, workers, nil, func(out [][]Edge, interned, expanded int) error {
+	err := ScanLevels(alg, cm, nil, func(out [][]Edge, interned, expanded int) error {
+		if len(out) != expanded {
+			t.Errorf("barrier (%d, %d): len(out) = %d, want the expanded count", expanded, interned, len(out))
+		}
 		tr.expanded = append(tr.expanded, expanded)
 		tr.interned = append(tr.interned, interned)
-		if len(tr.edges) == 0 { // capture the final adjacency once at the fixpoint
-			if expanded == interned {
-				for s := 0; s < expanded; s++ {
-					var succ []int32
-					for _, e := range out[s] {
-						succ = append(succ, e.To)
-					}
-					tr.edges = append(tr.edges, succ)
+		if expanded == interned { // capture the final adjacency at the fixpoint
+			for s := 0; s < expanded; s++ {
+				var succ []int32
+				for _, e := range out[s] {
+					succ = append(succ, e.To)
 				}
+				tr.edges = append(tr.edges, succ)
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ScanLevels(workers=%d): %v", workers, err)
+		t.Fatalf("ScanLevels: %v", err)
 	}
 	return tr
 }
 
-// TestScanLevelsBarrierSequence checks the cross-engine contract the
-// on-the-fly liveness engine builds on: the sequential and parallel
-// scans fire the identical (expanded, interned) barrier sequence and
-// resolve the identical adjacency, for any worker count.
+// TestScanLevelsBarrierSequence checks the contract the on-the-fly
+// liveness engine builds on and the materialized one replays: the scan
+// hands over len(out) == expanded at every barrier, fires the barrier
+// sequence (cum(0), cum(1)), …, (total, total) of the built system's
+// BFS levels, and resolves the built system's adjacency.
 func TestScanLevelsBarrierSequence(t *testing.T) {
 	cases := []struct {
 		alg tm.Algorithm
@@ -56,37 +57,35 @@ func TestScanLevelsBarrierSequence(t *testing.T) {
 		{tm.NewSeq(2, 1), nil},
 	}
 	for _, c := range cases {
-		ref := traceScan(t, c.alg, c.cm, 1)
-		ts := BuildWorkers(c.alg, c.cm, runtime.GOMAXPROCS(0))
-		if last := ref.expanded[len(ref.expanded)-1]; last != ts.NumStates() {
-			t.Errorf("%s: final barrier expanded %d, want %d states", ts.Name(), last, ts.NumStates())
+		got := traceScan(t, c.alg, c.cm)
+		ts := BuildWorkers(c.alg, c.cm, 1)
+		var want [][2]int // (expanded, interned) per barrier
+		cum := 0
+		for _, n := range ts.LevelSizes() {
+			if cum > 0 {
+				want = append(want, [2]int{cum, cum + n})
+			}
+			cum += n
 		}
-		for _, workers := range []int{2, 4} {
-			got := traceScan(t, c.alg, c.cm, workers)
-			if len(got.expanded) != len(ref.expanded) {
-				t.Fatalf("%s workers=%d: %d barriers, sequential fired %d",
-					ts.Name(), workers, len(got.expanded), len(ref.expanded))
+		want = append(want, [2]int{cum, cum})
+		if len(got.expanded) != len(want) {
+			t.Fatalf("%s: %d barriers, the built system has %d levels", ts.Name(), len(got.expanded), len(want))
+		}
+		for i := range want {
+			if pair := [2]int{got.expanded[i], got.interned[i]}; pair != want[i] {
+				t.Errorf("%s barrier %d: (expanded, interned) = %v, want %v", ts.Name(), i, pair, want[i])
 			}
-			for i := range ref.expanded {
-				if got.expanded[i] != ref.expanded[i] || got.interned[i] != ref.interned[i] {
-					t.Errorf("%s workers=%d barrier %d: (%d, %d), sequential (%d, %d)",
-						ts.Name(), workers, i, got.expanded[i], got.interned[i],
-						ref.expanded[i], ref.interned[i])
-				}
+		}
+		if len(got.edges) != ts.NumStates() {
+			t.Fatalf("%s: fixpoint adjacency has %d states, built system %d", ts.Name(), len(got.edges), ts.NumStates())
+		}
+		for s, succ := range got.edges {
+			if len(succ) != len(ts.Out[s]) {
+				t.Fatalf("%s state %d: %d edges, built system %d", ts.Name(), s, len(succ), len(ts.Out[s]))
 			}
-			if len(got.edges) != len(ref.edges) {
-				t.Fatalf("%s workers=%d: fixpoint adjacency has %d states, sequential %d",
-					ts.Name(), workers, len(got.edges), len(ref.edges))
-			}
-			for s := range ref.edges {
-				if len(got.edges[s]) != len(ref.edges[s]) {
-					t.Fatalf("%s workers=%d state %d: edge counts differ", ts.Name(), workers, s)
-				}
-				for j := range ref.edges[s] {
-					if got.edges[s][j] != ref.edges[s][j] {
-						t.Errorf("%s workers=%d state %d edge %d: to %d, sequential %d",
-							ts.Name(), workers, s, j, got.edges[s][j], ref.edges[s][j])
-					}
+			for j, to := range succ {
+				if to != ts.Out[s][j].To {
+					t.Errorf("%s state %d edge %d: to %d, built system %d", ts.Name(), s, j, to, ts.Out[s][j].To)
 				}
 			}
 		}
@@ -94,24 +93,22 @@ func TestScanLevelsBarrierSequence(t *testing.T) {
 }
 
 // TestScanLevelsBarrierError checks that a barrier's error stops the
-// scan and surfaces verbatim, from both engines.
+// scan and surfaces verbatim.
 func TestScanLevelsBarrierError(t *testing.T) {
 	sentinel := errors.New("stop here")
-	for _, workers := range []int{1, 4} {
-		calls := 0
-		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, nil, func(out [][]Edge, interned, expanded int) error {
-			calls++
-			if calls == 2 {
-				return sentinel
-			}
-			return nil
-		})
-		if !errors.Is(err, sentinel) {
-			t.Errorf("workers=%d: err = %v, want sentinel", workers, err)
+	calls := 0
+	err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, nil, func(out [][]Edge, interned, expanded int) error {
+		calls++
+		if calls == 2 {
+			return sentinel
 		}
-		if calls != 2 {
-			t.Errorf("workers=%d: %d barrier calls after stop, want 2", workers, calls)
-		}
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Errorf("err = %v, want sentinel", err)
+	}
+	if calls != 2 {
+		t.Errorf("%d barrier calls after stop, want 2", calls)
 	}
 }
 
@@ -120,15 +117,13 @@ func TestScanLevelsBarrierError(t *testing.T) {
 // stopped the scan at the same boundary.
 func TestScanLevelsBudgetBeforeBarrier(t *testing.T) {
 	sentinel := errors.New("barrier ran")
-	for _, workers := range []int{1, 4} {
-		err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, workers, guard.New(nil, 2, 0), func(out [][]Edge, interned, expanded int) error {
-			if interned > 2 {
-				return sentinel
-			}
-			return nil
-		})
-		if !errors.Is(err, space.ErrBudgetExceeded) {
-			t.Errorf("workers=%d: err = %v, want budget error before the barrier", workers, err)
+	err := ScanLevels(tm.NewDSTM(2, 1), tm.Aggressive{}, guard.New(nil, 2, 0), func(out [][]Edge, interned, expanded int) error {
+		if interned > 2 {
+			return sentinel
 		}
+		return nil
+	})
+	if !errors.Is(err, space.ErrBudgetExceeded) {
+		t.Errorf("err = %v, want budget error before the barrier", err)
 	}
 }

@@ -17,8 +17,8 @@ import (
 
 // unfolding is the boxed successor generator of the TM×CM×most-general-
 // program product: it runs the TM semantics on boxed tm.State values.
-// The generic scans use it for products the packed core rejects, and so
-// does Lazy. Every engine funnels through forEachEnabled/forEachStep (or
+// The boxed scan (scanBoxed) uses it for products the packed core
+// rejects, and so does Lazy. Every engine funnels through forEachEnabled/forEachStep (or
 // the packed core's mirror of them), so per-state edge order — and hence
 // every canonical numbering and every counterexample downstream — is
 // bit-identical across engines by construction.

@@ -11,11 +11,11 @@
 // keeps running, partial results stay valid, and the keep-going table
 // drivers render the row as LIMIT(kind) and move on.
 //
-// Determinism: the sequential engines consult the guard once per state
-// and the parallel engines once per BFS level barrier — exactly where
-// the state budget has always been checked — so a cancelled or
-// timed-out scan still observes a prefix of the canonical barrier
-// sequence, identical across worker counts up to the stop point.
+// Determinism: the engines consult the guard once per state or product
+// pair — exactly where the state budget has always been checked — so a
+// budget trips at the same state count at every worker count, and a
+// cancelled or timed-out scan still observes a prefix of the canonical
+// barrier sequence.
 package guard
 
 import (
@@ -107,9 +107,9 @@ type LimitError struct {
 	// Budget is the configured state cap (KindStates).
 	Budget int
 	// Visited is the number of states constructed or visited when the
-	// limit tripped. With parallel workers the check sits at level
-	// barriers, so Visited may exceed Budget by up to one BFS level;
-	// the sequential engines trip exactly.
+	// limit tripped. For a state budget it is the count at the first
+	// poll past Budget, which one expansion may overshoot by the fresh
+	// successors it interned; it is the same at every worker count.
 	Visited int
 	// Elapsed is the wall-clock spent when the limit tripped
 	// (KindTime and KindCancelled).
@@ -184,11 +184,11 @@ func (e *LimitError) Is(target error) bool {
 
 // The ReadMemStats watchdog samples on an adaptive schedule counted in
 // states — the progress count every Check call carries — not in calls
-// or wall-clock time. The engines consult the guard once per state
-// (sequential scans) or once per BFS level barrier (parallel scans,
-// whose levels grow from a handful of states to thousands), so only a
-// count of states measures allocation at both granularities, and a
-// loop that allocates faster than any timer fires is still sampled.
+// or wall-clock time. The engines consult the guard once per state or
+// product pair, the fuzzer once per word (many specification states),
+// so only a count of states measures allocation at every granularity,
+// and a loop that allocates faster than any timer fires is still
+// sampled.
 // After each sample the next one waits for the states that, at the
 // bytes allocated per state since the last sample, would consume a
 // quarter of the remaining headroom, clamped to [1, memCheckMaxStates].

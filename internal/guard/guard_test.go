@@ -183,13 +183,13 @@ func TestGuardMemoryWatchdogBoundedOvershoot(t *testing.T) {
 }
 
 func TestGuardMemoryWatchdogAtLevelBarriers(t *testing.T) {
-	// Regression: the parallel engines consult the guard once per BFS
-	// level barrier, and their levels grow. A schedule counted in
-	// Check calls learned its rate from the first, tiny levels, waited
-	// hundreds of calls, and so never sampled again in a scan of a few
-	// dozen levels. Here every level doubles and each state retains
-	// 16KiB; the watchdog must trip no later than the first barrier at
-	// which the retained bytes pass the cap.
+	// Regression: a caller may poll the guard with growing gaps between
+	// calls (one poll per BFS level barrier, say, as levels grow). A
+	// schedule counted in Check calls learned its rate from the first,
+	// tiny levels, waited hundreds of calls, and so never sampled again
+	// in a scan of a few dozen levels. Here every level doubles and each
+	// state retains 16KiB; the watchdog must trip no later than the
+	// first barrier at which the retained bytes pass the cap.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -4,8 +4,11 @@ package job
 // every tmcheck subcommand and position-independent (before or after
 // the subcommand):
 //
-//	-workers N        worker count for the parallel engines (default
-//	                  GOMAXPROCS; 1 = exact sequential behavior)
+//	-workers N        worker count (default GOMAXPROCS) for the on-the-fly
+//	                  safety search's TM expansion ahead of its product
+//	                  loop and for table2/table3 row fan-out; every state
+//	                  space runs one sequential loop, and no output but
+//	                  timings depends on the count
 //	-maxstates N      state budget: abort any check that would construct
 //	                  more than N states (TM + spec + product) with a
 //	                  budget error instead of exhausting memory

@@ -92,8 +92,9 @@ type Spec struct {
 	// Ext includes the extension TMs (norec, etl) and broken variants
 	// in a table2 job.
 	Ext bool
-	// Workers is the parallel-engine worker count; <= 0 means
-	// GOMAXPROCS.
+	// Workers is the worker count; <= 0 means GOMAXPROCS. It sets the
+	// on-the-fly safety search's helper goroutines and the table kinds'
+	// row fan-out; no verdict depends on it.
 	Workers int
 	// MaxStates bounds the states any check constructs; <= 0 means
 	// unlimited.

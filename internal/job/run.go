@@ -8,8 +8,6 @@ import (
 	"tmcheck/internal/guard"
 	"tmcheck/internal/liveness"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/pack"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/safety"
 	"tmcheck/internal/snap"
 	"tmcheck/internal/space"
@@ -116,7 +114,6 @@ func persistProvider(store *snap.Store, spill *snap.Spill) explore.PersistProvid
 		}
 		if spill != nil {
 			p.Grow = spill.Grow()
-			p.GrowShard = func(int) pack.GrowFunc { return spill.Grow() }
 		}
 		return p, nil
 	}
@@ -191,7 +188,6 @@ func runLiveness(ctx context.Context, sp Spec, cfg Config, engine space.Engine, 
 	}
 	if engine == space.EngineOnTheFly {
 		row, err := liveness.CheckAllOnTheFlyOpts(alg, cm, liveness.Options{
-			Workers:   sp.Workers,
 			MaxStates: sp.MaxStates,
 			MaxMem:    sp.MaxMem,
 			Ctx:       ctx,
@@ -209,7 +205,7 @@ func runLiveness(ctx context.Context, sp Spec, cfg Config, engine space.Engine, 
 	}
 	buildStart := time.Now()
 	buildDone := phaseFn(cfg, "build-tm")
-	ts, err := explore.BuildGuarded(alg, cm, parbfs.ResolveWorkers(sp.Workers), guard.New(ctx, sp.MaxStates, sp.MaxMem), prov)
+	ts, err := explore.BuildGuarded(alg, cm, guard.New(ctx, sp.MaxStates, sp.MaxMem), prov)
 	buildDone()
 	if err != nil {
 		return err
@@ -262,8 +258,9 @@ func runTable2(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 
 func runTable3(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
 	systems := liveness.PaperSystems(sp.Threads, sp.Vars)
-	rows := liveness.Table3(systems, engine, liveness.Options{
+	rows := liveness.Table3(systems, liveness.Options{
 		Workers:   sp.Workers,
+		Engine:    engine,
 		MaxStates: sp.MaxStates,
 		MaxMem:    sp.MaxMem,
 		Ctx:       ctx,

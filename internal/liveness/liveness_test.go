@@ -13,7 +13,7 @@ import (
 // with the aggressive manager is obstruction free, everything else is not;
 // no system is livelock free (hence none is wait free).
 func TestTheorem6Table3(t *testing.T) {
-	rows := Table3(PaperSystems(2, 1), space.EngineMaterialized, Options{})
+	rows := Table3(PaperSystems(2, 1), Options{Engine: space.EngineMaterialized})
 	names := []string{"seq", "2pl", "dstm+aggressive", "tl2+polite"}
 	wantObstruction := []bool{false, false, true, false}
 	for i, row := range rows {
@@ -186,7 +186,7 @@ func TestWaitFreedomStrictlyStronger(t *testing.T) {
 // Liveness verdicts are stable at (2,2): the reduction theorem says (2,1)
 // suffices, and adding a variable must not rescue any property.
 func TestLivenessAtTwoVars(t *testing.T) {
-	rows := Table3(PaperSystems(2, 2), space.EngineMaterialized, Options{})
+	rows := Table3(PaperSystems(2, 2), Options{Engine: space.EngineMaterialized})
 	wantObstruction := []bool{false, false, true, false}
 	for i, row := range rows {
 		if row.Obstruction.Holds != wantObstruction[i] {

@@ -10,7 +10,6 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
@@ -23,11 +22,11 @@ import (
 // immediately is sound; a property can only be declared to HOLD at the
 // fixpoint, which the final barrier always probes.
 //
-// Determinism across engines and worker counts: the scan numbering is
-// canonical, the barrier sequence is a function of BFS level sizes only
-// (see explore.Barrier), probeDue picks barriers from that sequence
-// alone, and the lasso search is a pure function of the prefix — so the
-// first violating (prefix, lasso) pair is identical everywhere, and the
+// Determinism across engines: the scan numbering is canonical, the
+// barrier sequence is a function of BFS level sizes only (see
+// explore.Barrier), probeDue picks barriers from that sequence alone,
+// and the lasso search is a pure function of the prefix — so the first
+// violating (prefix, lasso) pair is identical everywhere, and the
 // materialized checkTS replays the exact same schedule.
 
 // probeDue is the geometric probe schedule shared by both engines:
@@ -70,10 +69,15 @@ func lassoSearch(out [][]explore.Edge, threads int, p Prop) (stem, loop []explor
 // Options configures CheckOnTheFlyOpts, CheckAllOnTheFlyOpts and
 // Table3.
 type Options struct {
-	// Workers is the exploration worker count; <= 0 means GOMAXPROCS.
-	// One worker runs the sequential scan. Verdicts and lasso words are
-	// identical for every value.
+	// Workers is the worker count; <= 0 means GOMAXPROCS. Table3 fans
+	// its rows out over a pool of Workers goroutines; every check runs
+	// one sequential scan, so CheckOnTheFlyOpts and CheckAllOnTheFlyOpts
+	// ignore it. Verdicts and lasso words are identical for every value.
 	Workers int
+	// Engine selects Table3's engine; the zero value is
+	// EngineMaterialized. CheckOnTheFlyOpts and CheckAllOnTheFlyOpts
+	// name their engine and ignore it.
+	Engine space.Engine
 	// MaxStates bounds the states interned; <= 0 means unbounded. A
 	// blown budget fails the check with a *space.BudgetError.
 	MaxStates int
@@ -102,7 +106,7 @@ func (opts Options) guard() *guard.Guard {
 // CheckOnTheFlyOpts checks one liveness property with the on-the-fly
 // engine.
 func CheckOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, p Prop, opts Options) (Result, error) {
-	res, err := checkLazy(alg, cm, []Prop{p}, parbfs.ResolveWorkers(opts.Workers), opts.guard(), !opts.NoPhases)
+	res, err := checkLazy(alg, cm, []Prop{p}, opts.guard(), !opts.NoPhases)
 	if err != nil {
 		if len(res) == 1 {
 			// Partial outcome: the property may have resolved (a real
@@ -120,7 +124,7 @@ func CheckOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, p Prop, opts O
 // scan stops early once every property has a violation. Results equal
 // three independent CheckOnTheFlyOpts calls.
 func CheckAllOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, opts Options) (Table3Row, error) {
-	res, err := checkLazy(alg, cm, Props, parbfs.ResolveWorkers(opts.Workers), opts.guard(), !opts.NoPhases)
+	res, err := checkLazy(alg, cm, Props, opts.guard(), !opts.NoPhases)
 	if err != nil {
 		if len(res) == 3 {
 			// Partial outcome: resolved properties keep their violations,
@@ -144,7 +148,7 @@ var errAllResolved = errors.New("liveness: all properties resolved")
 // violation Results; the unresolved ones carry the *guard.LimitError in
 // Result.Limit. The partial results are returned together with the
 // error, so keep-going drivers render exactly what was learned.
-func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, workers int, g *guard.Guard, phase bool) ([]Result, error) {
+func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, g *guard.Guard, phase bool) ([]Result, error) {
 	name := systemName(alg, cm)
 	if phase {
 		done := obs.Phase("liveness-otf:" + name)
@@ -182,18 +186,14 @@ func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, workers 
 		probes++
 		view := out
 		if len(view) < interned {
-			// The sequential scan hands over only the expanded prefix; pad
-			// the discovered-but-unexpanded tail with edgeless states so
-			// every edge target is in range. The parallel engine's
-			// adjacency already has that shape (nil tails), so both
-			// engines probe the identical view.
+			// The scan hands over only the expanded prefix; pad the
+			// discovered-but-unexpanded tail with edgeless states so
+			// every edge target is in range.
 			pad = append(pad[:0], out...)
 			for len(pad) < interned {
 				pad = append(pad, nil)
 			}
 			view = pad
-		} else {
-			view = view[:interned]
 		}
 		for i, p := range props {
 			if resolved[i] {
@@ -225,7 +225,7 @@ func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, workers 
 		}
 		return nil
 	}
-	if err := explore.ScanLevels(alg, cm, workers, g, barrier); err != nil && !errors.Is(err, errAllResolved) {
+	if err := explore.ScanLevels(alg, cm, g, barrier); err != nil && !errors.Is(err, errAllResolved) {
 		var le *guard.LimitError
 		if !errors.As(err, &le) {
 			emitDone("ERROR: " + err.Error())

@@ -3,7 +3,6 @@ package liveness
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"tmcheck/internal/explore"
@@ -14,39 +13,32 @@ import (
 // TestLivenessEngineAgreement is the cross-engine contract of the
 // on-the-fly engine: for every paper system and property, verdicts,
 // lasso words, and even the raw stem/loop edge sequences must be
-// bit-identical to the materialized checks at every worker count
-// (run race-enabled in CI, so the parallel scans are exercised too).
+// bit-identical to the materialized checks.
 func TestLivenessEngineAgreement(t *testing.T) {
 	for _, sys := range PaperSystems(2, 1) {
-		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
+		ts := explore.BuildWorkers(sys.Alg, sys.CM, 1)
 		name := ts.Name()
 		for _, p := range Props {
 			mat := checkTS(ts, p)
-			for _, workers := range []int{1, 2, 4} {
-				res, err := checkLazy(sys.Alg, sys.CM, []Prop{p}, workers, nil, false)
-				if err != nil {
-					t.Fatalf("%s %s workers=%d: %v", name, p.Key(), workers, err)
-				}
-				otf := res[0]
-				if otf.Holds != mat.Holds {
-					t.Errorf("%s %s workers=%d: holds = %v, materialized %v",
-						name, p.Key(), workers, otf.Holds, mat.Holds)
-				}
-				if otf.LoopWord() != mat.LoopWord() {
-					t.Errorf("%s %s workers=%d: loop %q, materialized %q",
-						name, p.Key(), workers, otf.LoopWord(), mat.LoopWord())
-				}
-				if !reflect.DeepEqual(otf.Stem, mat.Stem) || !reflect.DeepEqual(otf.Loop, mat.Loop) {
-					t.Errorf("%s %s workers=%d: stem/loop edges differ from materialized",
-						name, p.Key(), workers)
-				}
-				if otf.Expanded != mat.Expanded {
-					t.Errorf("%s %s workers=%d: expanded = %d, materialized %d",
-						name, p.Key(), workers, otf.Expanded, mat.Expanded)
-				}
-				if otf.Engine != space.EngineOnTheFly || mat.Engine != space.EngineMaterialized {
-					t.Errorf("%s %s: engines mislabeled (%v, %v)", name, p.Key(), otf.Engine, mat.Engine)
-				}
+			res, err := checkLazy(sys.Alg, sys.CM, []Prop{p}, nil, false)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, p.Key(), err)
+			}
+			otf := res[0]
+			if otf.Holds != mat.Holds {
+				t.Errorf("%s %s: holds = %v, materialized %v", name, p.Key(), otf.Holds, mat.Holds)
+			}
+			if otf.LoopWord() != mat.LoopWord() {
+				t.Errorf("%s %s: loop %q, materialized %q", name, p.Key(), otf.LoopWord(), mat.LoopWord())
+			}
+			if !reflect.DeepEqual(otf.Stem, mat.Stem) || !reflect.DeepEqual(otf.Loop, mat.Loop) {
+				t.Errorf("%s %s: stem/loop edges differ from materialized", name, p.Key())
+			}
+			if otf.Expanded != mat.Expanded {
+				t.Errorf("%s %s: expanded = %d, materialized %d", name, p.Key(), otf.Expanded, mat.Expanded)
+			}
+			if otf.Engine != space.EngineOnTheFly || mat.Engine != space.EngineMaterialized {
+				t.Errorf("%s %s: engines mislabeled (%v, %v)", name, p.Key(), otf.Engine, mat.Engine)
 			}
 		}
 	}
@@ -87,17 +79,16 @@ func TestCheckAllOnTheFlySharesExploration(t *testing.T) {
 
 // TestLivenessBudgetBothEngines drives both engines into a tiny state
 // budget: the typed *space.BudgetError must surface through errors.Is
-// from the sequential and the parallel scans alike, before any probe
-// can run (budget is checked ahead of the barrier hook).
+// before any probe can run (budget is checked ahead of the barrier
+// hook). A larger budget must then trip at the same state count at
+// every worker count.
 func TestLivenessBudgetBothEngines(t *testing.T) {
 	sys := PaperSystems(2, 1)[2] // dstm+aggressive
-	for _, workers := range []int{1, 4} {
-		if _, err := checkLazy(sys.Alg, sys.CM, Props, workers, guard.New(nil, 2, 0), false); !errors.Is(err, space.ErrBudgetExceeded) {
-			t.Errorf("onthefly workers=%d: err = %v, want budget error", workers, err)
-		}
-		if _, err := explore.BuildGuarded(sys.Alg, sys.CM, workers, guard.New(nil, 2, 0), nil); !errors.Is(err, space.ErrBudgetExceeded) {
-			t.Errorf("materialized workers=%d: err = %v, want budget error", workers, err)
-		}
+	if _, err := checkLazy(sys.Alg, sys.CM, Props, guard.New(nil, 2, 0), false); !errors.Is(err, space.ErrBudgetExceeded) {
+		t.Errorf("onthefly: err = %v, want budget error", err)
+	}
+	if _, err := explore.BuildGuarded(sys.Alg, sys.CM, guard.New(nil, 2, 0), nil); !errors.Is(err, space.ErrBudgetExceeded) {
+		t.Errorf("materialized: err = %v, want budget error", err)
 	}
 	var be *space.BudgetError
 	_, err := CheckOnTheFlyOpts(sys.Alg, sys.CM, LivelockFreedom, Options{Workers: 1, MaxStates: 2})
@@ -107,14 +98,36 @@ func TestLivenessBudgetBothEngines(t *testing.T) {
 	if be.Budget != 2 || be.Visited <= 2 {
 		t.Errorf("budget error = %+v, want Budget 2 and Visited > 2", be)
 	}
+
+	type limit struct {
+		kind            guard.Kind
+		budget, visited int
+	}
+	limitAt := func(workers int) limit {
+		_, err := CheckAllOnTheFlyOpts(sys.Alg, sys.CM, Options{Workers: workers, MaxStates: 100})
+		var le *guard.LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("workers=%d: err = %v, want *guard.LimitError", workers, err)
+		}
+		return limit{le.Kind, le.Budget, le.Visited}
+	}
+	want := limitAt(1)
+	if want.kind != guard.KindStates || want.budget != 100 || want.visited <= 100 {
+		t.Fatalf("workers=1: limit = %+v, want a states limit past budget 100", want)
+	}
+	for _, workers := range []int{2, 4} {
+		if got := limitAt(workers); got != want {
+			t.Errorf("workers=%d: limit %+v, one worker %+v", workers, got, want)
+		}
+	}
 }
 
 // TestTable3EnginesAgree compares full Table 3 rows across the two
 // engines of the unbudgeted driver.
 func TestTable3EnginesAgree(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	otf := Table3(systems, space.EngineOnTheFly, Options{})
-	mat := Table3(systems, space.EngineMaterialized, Options{})
+	otf := Table3(systems, Options{Engine: space.EngineOnTheFly})
+	mat := Table3(systems, Options{Engine: space.EngineMaterialized})
 	if len(otf) != len(mat) {
 		t.Fatalf("row counts differ: %d vs %d", len(otf), len(mat))
 	}

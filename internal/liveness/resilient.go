@@ -12,8 +12,8 @@ import (
 )
 
 // Table3 reproduces the paper's Table 3 on the given systems with the
-// selected engine: each row checks obstruction, livelock and wait
-// freedom. It keeps going: every row runs under the options' context,
+// engine opts.Engine selects: each row checks obstruction, livelock and
+// wait freedom. It keeps going: every row runs under the options' context,
 // state budget and heap cap, and a row that hits a limit — or panics
 // inside the TM algorithm — reports what it learned instead of
 // aborting the table. With the on-the-fly engine a limited row keeps
@@ -21,18 +21,17 @@ import (
 // unresolved properties with Result.Limit; with the materialized
 // engine a limited build marks all three.
 //
-// Each row explores with one worker, and with more than one worker
-// the rows fan out over the pool — the coarser parallelism — so rows
-// are bit-identical for every worker count. Per-row obs phases open
-// only on the sequential spine; the phase stack assumes a single
-// thread.
-func Table3(systems []System, engine space.Engine, opts Options) []Table3Row {
+// Each row explores on one sequential scan, and with more than one
+// worker the rows fan out over the pool, so rows are bit-identical for
+// every worker count. Per-row obs phases open only on the sequential
+// spine; the phase stack assumes a single thread.
+func Table3(systems []System, opts Options) []Table3Row {
 	workers := parbfs.ResolveWorkers(opts.Workers)
 	phase := !opts.NoPhases
 	if workers > 1 && len(systems) > 1 {
 		if phase {
 			name := "liveness:table3-onthefly-parallel"
-			if engine == space.EngineMaterialized {
+			if opts.Engine == space.EngineMaterialized {
 				name = "liveness:table3-parallel"
 			}
 			done := obs.Phase(name)
@@ -42,16 +41,16 @@ func Table3(systems []System, engine space.Engine, opts Options) []Table3Row {
 	}
 	rows := make([]Table3Row, len(systems))
 	parbfs.For(len(systems), workers, func(i int) {
-		rows[i] = table3Row(systems[i], engine, phase, opts)
+		rows[i] = table3Row(systems[i], phase, opts)
 	})
 	return rows
 }
 
-// table3Row runs one guarded row with the selected engine.
-func table3Row(sys System, engine space.Engine, phase bool, opts Options) Table3Row {
+// table3Row runs one guarded row with the engine opts.Engine selects.
+func table3Row(sys System, phase bool, opts Options) Table3Row {
 	g := opts.guard()
-	if engine == space.EngineOnTheFly {
-		res, err := checkLazy(sys.Alg, sys.CM, Props, 1, g, phase)
+	if opts.Engine == space.EngineOnTheFly {
+		res, err := checkLazy(sys.Alg, sys.CM, Props, g, phase)
 		if err != nil && len(res) != 3 {
 			// No partials to keep (a non-limit error): every cell limited.
 			return limitedRow(sys, space.EngineOnTheFly, 0, err)
@@ -61,7 +60,7 @@ func table3Row(sys System, engine space.Engine, phase bool, opts Options) Table3
 		return row
 	}
 	buildStart := time.Now()
-	ts, err := explore.BuildGuarded(sys.Alg, sys.CM, 1, g, opts.Persist)
+	ts, err := explore.BuildGuarded(sys.Alg, sys.CM, g, opts.Persist)
 	buildElapsed := time.Since(buildStart)
 	if err != nil {
 		row := limitedRow(sys, space.EngineMaterialized, buildElapsed, err)

@@ -58,8 +58,10 @@ const (
 	// structure (the sequential product search, spec enumeration,
 	// tmfuzz): States is the cumulative unit count.
 	EvProgress
-	// EvWorkerSpan reports one parallel worker's activity window: Worker
-	// is the worker index, States the items it processed, DurNS the span.
+	// EvWorkerSpan reports one worker's activity window — a row-pool
+	// worker of parbfs.For or a prefetch helper of the on-the-fly safety
+	// search: Worker is its index, States the items it processed, DurNS
+	// the span.
 	EvWorkerSpan
 	// EvViolation fires when a check finds a counterexample or violating
 	// lasso (Detail describes it).

@@ -102,7 +102,7 @@ type GrowFunc func(need int, cur []uint64) []uint64
 // stride kw — no per-entry allocation, no interface boxing.
 //
 // The zero Map is not ready; use NewMap. Map is not safe for
-// concurrent use; callers lock (the parallel engines shard instead).
+// concurrent use; callers lock.
 type Map struct {
 	kw       int
 	mask     uint64

@@ -130,8 +130,8 @@ func TestMapPutOverwriteAndReset(t *testing.T) {
 }
 
 func TestGetOrPutMinUpdatePattern(t *testing.T) {
-	// The parallel engine's candidate tables use GetOrPut + SetValAt to
-	// keep the minimum discovery key; exercise that pattern.
+	// GetOrPut inserts on first sight and reports the stored value on
+	// every later hit, without overwriting it.
 	m := NewMap(1, 0)
 	idx, fresh := m.GetOrPut([]uint64{42}, int32(m.Len()))
 	if !fresh || idx != 0 {

@@ -21,9 +21,8 @@ import (
 // The search runs a BFS over the product of the deterministic
 // specification and the subset construction of the TM's NFA, looking for
 // a reachable pair where the specification can extend but the TM cannot.
-// The specification is enumerated with the given worker count.
-func LostConcurrency(ts *explore.TS, prop spec.Property, workers int) (core.Word, bool) {
-	dfa := spec.NewDet(prop, ts.Alg.Threads(), ts.Alg.Vars()).EnumerateWorkers(workers)
+func LostConcurrency(ts *explore.TS, prop spec.Property) (core.Word, bool) {
+	dfa := spec.NewDet(prop, ts.Alg.Threads(), ts.Alg.Vars()).EnumerateWorkers(1)
 	nfa := ts.NFA()
 
 	type node struct {

@@ -19,7 +19,7 @@ func TestLostConcurrencyWitnesses(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
-		w, ok := LostConcurrency(ts, spec.Opacity, runtime.GOMAXPROCS(0))
+		w, ok := LostConcurrency(ts, spec.Opacity)
 		if !ok {
 			t.Errorf("%s: no lost-concurrency witness found (maximally permissive?)", name)
 			continue
@@ -38,7 +38,7 @@ func TestLostConcurrencyWitnesses(t *testing.T) {
 // two transactions. Its witness must be very short.
 func TestSeqLosesOverlapImmediately(t *testing.T) {
 	ts := explore.BuildWorkers(tm.NewSeq(2, 2), nil, runtime.GOMAXPROCS(0))
-	w, ok := LostConcurrency(ts, spec.Opacity, runtime.GOMAXPROCS(0))
+	w, ok := LostConcurrency(ts, spec.Opacity)
 	if !ok {
 		t.Fatal("no witness")
 	}
@@ -52,7 +52,7 @@ func TestSeqLosesOverlapImmediately(t *testing.T) {
 // rvalidate and chklock with a commit in between.
 func TestWitnessRunForCounterexample(t *testing.T) {
 	ts := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
-	res := Check(ts, spec.StrictSerializability, runtime.GOMAXPROCS(0))
+	res := Check(ts, spec.StrictSerializability)
 	if res.Holds {
 		t.Fatal("expected counterexample")
 	}

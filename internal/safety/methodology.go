@@ -80,21 +80,20 @@ func (r *MethodologyReport) String() string {
 //
 // Structural sampling is evidence, not proof — exactly as in the paper,
 // where the properties are established by manual inspection; the sampler
-// automates the refutation direction. Explorations and specification
-// enumerations run with the given worker count.
-func VerifyViaReduction(name string, factory Factory, seed int64, workers int) *MethodologyReport {
+// automates the refutation direction.
+func VerifyViaReduction(name string, factory Factory, seed int64) *MethodologyReport {
 	rep := &MethodologyReport{Name: name}
 	alg22 := factory(2, 2)
-	ts22 := explore.BuildWorkers(alg22, nil, workers)
+	ts22 := explore.BuildWorkers(alg22, nil, 1)
 	rep.Safety = append(rep.Safety,
-		Check(ts22, spec.StrictSerializability, workers),
-		Check(ts22, spec.Opacity, workers),
+		Check(ts22, spec.StrictSerializability),
+		Check(ts22, spec.Opacity),
 	)
 	rep.Probes = [][2]int{{2, 2}, {3, 2}, {2, 3}}
 	for _, dims := range rep.Probes {
 		ts := ts22
 		if dims != [2]int{2, 2} {
-			ts = explore.BuildWorkers(factory(dims[0], dims[1]), nil, workers)
+			ts = explore.BuildWorkers(factory(dims[0], dims[1]), nil, 1)
 		}
 		s := reduction.NewSampler(ts, seed)
 		// Fewer samples at the larger instances: membership checks there

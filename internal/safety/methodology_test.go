@@ -1,7 +1,6 @@
 package safety
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -20,7 +19,7 @@ func TestMethodologyVerifiedTMs(t *testing.T) {
 		{"dstm", func(n, k int) tm.Algorithm { return tm.NewDSTM(n, k) }},
 		{"norec", func(n, k int) tm.Algorithm { return tm.NewNOrec(n, k) }},
 	} {
-		rep := VerifyViaReduction(tc.name, tc.factory, 11, runtime.GOMAXPROCS(0))
+		rep := VerifyViaReduction(tc.name, tc.factory, 11)
 		if !rep.Generalizes() {
 			t.Errorf("%s should generalize:\n%s", tc.name, rep)
 		}
@@ -33,7 +32,7 @@ func TestMethodologyVerifiedTMs(t *testing.T) {
 
 func TestMethodologyBrokenTM(t *testing.T) {
 	rep := VerifyViaReduction("2pl-noreadlock",
-		func(n, k int) tm.Algorithm { return tm.NewTwoPLNoReadLock(n, k) }, 12, runtime.GOMAXPROCS(0))
+		func(n, k int) tm.Algorithm { return tm.NewTwoPLNoReadLock(n, k) }, 12)
 	if rep.Generalizes() {
 		t.Error("broken TM should not generalize")
 	}

@@ -20,7 +20,7 @@ func TestNewTMsSafety(t *testing.T) {
 	for _, alg := range []tm.Algorithm{tm.NewNOrec(2, 2), tm.NewETL(2, 2)} {
 		ts := explore.BuildWorkers(alg, nil, runtime.GOMAXPROCS(0))
 		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			res := Check(ts, prop, runtime.GOMAXPROCS(0))
+			res := Check(ts, prop)
 			if !res.Holds {
 				t.Errorf("%s: %v fails with cex %q", alg.Name(), prop, res.Counterexample)
 			}

@@ -40,12 +40,12 @@ const (
 
 // Options configures VerifyOpts and Table2.
 type Options struct {
-	// Workers is the worker count; <= 0 means GOMAXPROCS. One worker
-	// runs the plain sequential engines. Above one, the materialized
-	// engine explores and enumerates in parallel, and the on-the-fly
-	// one expands TM states ahead of its search on Workers-1 helper
-	// goroutines. Every Result field but the elapsed times is the same
-	// at every count.
+	// Workers is the worker count; <= 0 means GOMAXPROCS. Above one,
+	// the on-the-fly search expands TM states ahead of its product loop
+	// on Workers-1 helper goroutines, and Table2's on-the-fly rows fan
+	// out over a pool of Workers goroutines. The materialized engine
+	// runs its one sequential loop at every count. Every Result field
+	// but the elapsed times is the same at every count.
 	Workers int
 	// MaxStates bounds the total states constructed (see VerifyOpts);
 	// <= 0 means unbounded.
@@ -81,26 +81,23 @@ func (opts Options) guard() *guard.Guard {
 // states + spec states + product pairs for the on-the-fly engine; TM
 // states, then the full spec DFA, then inclusion pairs cumulatively for
 // the materialized one — and the check stops with a *space.BudgetError
-// instead of exhausting memory. The on-the-fly engine checks the budget
-// per product pair and trips it at the same state count at every
-// worker count; the materialized engine trips it exactly at one worker
-// and, above one, checks at BFS level barriers and may overshoot by one
-// level.
+// instead of exhausting memory. Both engines check the budget per
+// state or product pair and trip it at the same state count at every
+// worker count.
 //
 // Both engines return identical verdicts and identical counterexample
 // words (the on-the-fly search orders each state's edges ε-first then
 // by letter, matching the product order of the materialized inclusion
 // check — TestEngineAgreement asserts this across the registry).
 func VerifyOpts(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, opts Options) (Result, error) {
-	workers := parbfs.ResolveWorkers(opts.Workers)
 	g := opts.guard()
 	if opts.Engine == EngineOnTheFly {
 		if opts.Persist != nil {
 			return Result{}, errors.New("safety: checkpoint/resume requires the materialized engine (the on-the-fly product does not intern a resumable prefix)")
 		}
-		return checkOnTheFly(alg, cm, prop, workers, g, !opts.NoPhases)
+		return checkOnTheFly(alg, cm, prop, parbfs.ResolveWorkers(opts.Workers), g, !opts.NoPhases)
 	}
-	return verifyMaterialized(alg, cm, prop, workers, g, !opts.NoPhases, opts.Persist)
+	return verifyMaterialized(alg, cm, prop, g, !opts.NoPhases, opts.Persist)
 }
 
 // checkEvents brackets one inclusion check on the telemetry bus:
@@ -138,12 +135,12 @@ func checkEvents(name string) func(res Result, err error) {
 // and heap watchdog are shared across all three unchanged).
 // phase=false suppresses the obs span for callers off the
 // single-threaded spine.
-func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, workers int, g *guard.Guard, phase bool, prov explore.PersistProvider) (res Result, err error) {
+func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, g *guard.Guard, phase bool, prov explore.PersistProvider) (res Result, err error) {
 	fin := checkEvents("dfa:" + systemName(alg, cm) + ":" + prop.Key())
 	defer func() { fin(res, err) }()
 	maxStates := g.MaxStates()
 	buildStart := time.Now()
-	ts, err := explore.BuildGuarded(alg, cm, workers, g, prov)
+	ts, err := explore.BuildGuarded(alg, cm, g, prov)
 	if err != nil {
 		return Result{}, err
 	}
@@ -157,7 +154,7 @@ func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Pro
 	}
 	det := spec.NewDet(prop, alg.Threads(), alg.Vars())
 	specStart := time.Now()
-	dfa, err := det.EnumerateGuarded(workers, g.WithStates(remaining))
+	dfa, err := det.EnumerateGuarded(g.WithStates(remaining))
 	if err != nil {
 		return Result{}, chargeStates(err, maxStates, ts.NumStates())
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
 	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
@@ -92,9 +93,10 @@ func TestOnTheFlySmoke(t *testing.T) {
 	}
 }
 
-// TestBudgetExceeded checks the -maxstates contract on both engines and
-// both parallel modes: a tiny budget yields a typed *space.BudgetError
-// carrying the states-visited count, not a crash or a bogus verdict.
+// TestBudgetExceeded checks the -maxstates contract on both engines at
+// several worker counts: a tiny budget yields a typed *space.BudgetError
+// carrying the states-visited count, not a crash or a bogus verdict, and
+// a budget trips at the same state count at every worker count.
 func TestBudgetExceeded(t *testing.T) {
 	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
 		for _, workers := range []int{1, 4} {
@@ -113,6 +115,31 @@ func TestBudgetExceeded(t *testing.T) {
 			}
 			if be.Budget != 50 || be.Visited <= 50 {
 				t.Errorf("%s: budget error reports budget=%d visited=%d", label, be.Budget, be.Visited)
+			}
+		}
+	}
+
+	type limit struct {
+		kind            guard.Kind
+		budget, visited int
+	}
+	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
+		limitAt := func(workers int) limit {
+			_, err := VerifyOpts(tm.NewDSTM(2, 2), nil, spec.Opacity,
+				Options{Workers: workers, MaxStates: 200, Engine: engine})
+			var le *guard.LimitError
+			if !errors.As(err, &le) {
+				t.Fatalf("%v w=%d: err = %v, want *guard.LimitError", engine, workers, err)
+			}
+			return limit{le.Kind, le.Budget, le.Visited}
+		}
+		want := limitAt(1)
+		if want.kind != guard.KindStates || want.budget != 200 || want.visited <= 200 {
+			t.Fatalf("%v w=1: limit %+v, want a states limit past budget 200", engine, want)
+		}
+		for _, workers := range []int{2, 4} {
+			if got := limitAt(workers); got != want {
+				t.Errorf("%v w=%d: limit %+v, one worker %+v", engine, workers, got, want)
 			}
 		}
 	}

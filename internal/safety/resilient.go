@@ -24,11 +24,10 @@ import (
 // system costs its own rows and nothing else. Rows are identical for
 // every worker count.
 func Table2(systems []System, opts Options) []Table2Row {
-	workers := parbfs.ResolveWorkers(opts.Workers)
 	if opts.Engine == EngineOnTheFly {
-		return table2OnTheFly(systems, workers, opts)
+		return table2OnTheFly(systems, parbfs.ResolveWorkers(opts.Workers), opts)
 	}
-	return table2Materialized(systems, workers, opts)
+	return table2Materialized(systems, opts)
 }
 
 // limitedResult wraps a check-stopping error into a row-renderable
@@ -117,7 +116,7 @@ func table2OnTheFly(systems []System, workers int, opts Options) []Table2Row {
 // through every stage. With a budget set the rows go through the
 // per-check staged pipeline of VerifyOpts instead, each check charging
 // its own TM build, spec enumeration, and inclusion to the budget.
-func table2Materialized(systems []System, workers int, opts Options) []Table2Row {
+func table2Materialized(systems []System, opts Options) []Table2Row {
 	if opts.MaxStates > 0 {
 		rows := make([]Table2Row, 0, len(systems))
 		for _, sys := range systems {
@@ -156,7 +155,7 @@ func table2Materialized(systems []System, workers int, opts Options) []Table2Row
 		done := pf("build-spec:" + prop.Key())
 		defer done()
 		start := time.Now()
-		d, err := spec.NewDet(prop, n, k).EnumerateGuarded(workers, opts.guard())
+		d, err := spec.NewDet(prop, n, k).EnumerateGuarded(opts.guard())
 		if err != nil {
 			return nil, time.Since(start), err
 		}
@@ -170,7 +169,7 @@ func table2Materialized(systems []System, workers int, opts Options) []Table2Row
 		doneSys := pf("safety:" + name)
 		doneBuild := pf("build-tm")
 		buildStart := time.Now()
-		ts, buildErr := explore.BuildGuarded(sys.Alg, sys.CM, workers, opts.guard(), opts.Persist)
+		ts, buildErr := explore.BuildGuarded(sys.Alg, sys.CM, opts.guard(), opts.Persist)
 		buildElapsed := time.Since(buildStart)
 		doneBuild()
 		if buildErr != nil {

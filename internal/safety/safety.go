@@ -75,12 +75,11 @@ type Result struct {
 }
 
 // Check verifies L(ts) ⊆ L(Σd prop) with the deterministic specification,
-// in time linear in the product of the two systems. The specification is
-// enumerated with the given worker count (see spec.Det.EnumerateWorkers).
-func Check(ts *explore.TS, prop spec.Property, workers int) Result {
+// in time linear in the product of the two systems.
+func Check(ts *explore.TS, prop spec.Property) Result {
 	det := spec.NewDet(prop, ts.Alg.Threads(), ts.Alg.Vars())
 	specStart := time.Now()
-	dfa := det.EnumerateWorkers(workers)
+	dfa := det.EnumerateWorkers(1)
 	specElapsed := time.Since(specStart)
 	res := CheckAgainstDFA(ts, prop, dfa)
 	res.BuildSpecElapsed = specElapsed
@@ -160,12 +159,11 @@ func (r Result) record(pipeline string) {
 
 // CheckAgainstNondet verifies L(ts) ⊆ L(Σ prop) directly against the
 // nondeterministic specification using the antichain algorithm — the
-// validation path for the deterministic pipeline. The specification is
-// enumerated with the given worker count.
-func CheckAgainstNondet(ts *explore.TS, prop spec.Property, workers int) Result {
+// validation path for the deterministic pipeline.
+func CheckAgainstNondet(ts *explore.TS, prop spec.Property) Result {
 	nd := spec.NewNondet(prop, ts.Alg.Threads(), ts.Alg.Vars())
 	specStart := time.Now()
-	specNFA := nd.EnumerateWorkers(workers)
+	specNFA := nd.Enumerate()
 	specElapsed := time.Since(specStart)
 	nfa := ts.NFA()
 	start := time.Now()

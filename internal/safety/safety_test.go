@@ -54,7 +54,7 @@ func TestTheorem4Table2(t *testing.T) {
 // oracle rejects, with the cross read-write shape of the paper's w1.
 func TestModTL2CounterexampleIsGenuine(t *testing.T) {
 	ts := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
-	res := Check(ts, spec.StrictSerializability, runtime.GOMAXPROCS(0))
+	res := Check(ts, spec.StrictSerializability)
 	if res.Holds {
 		t.Fatal("modified TL2 with polite manager must violate strict serializability")
 	}
@@ -79,7 +79,7 @@ func TestModTL2CounterexampleIsGenuine(t *testing.T) {
 // modified variant — the counterexample word is not in TL2's language.
 func TestTL2RejectsTheBrokenInterleaving(t *testing.T) {
 	modTS := explore.BuildWorkers(tm.NewTL2Mod(2, 2), tm.Polite{}, runtime.GOMAXPROCS(0))
-	res := Check(modTS, spec.StrictSerializability, runtime.GOMAXPROCS(0))
+	res := Check(modTS, spec.StrictSerializability)
 	if res.Holds {
 		t.Fatal("expected a counterexample")
 	}
@@ -147,8 +147,8 @@ func TestAntichainPathAgrees(t *testing.T) {
 	for _, sys := range PaperSystems(2, 2) {
 		ts := explore.BuildWorkers(sys.Alg, sys.CM, runtime.GOMAXPROCS(0))
 		for _, prop := range []spec.Property{spec.StrictSerializability, spec.Opacity} {
-			det := Check(ts, prop, runtime.GOMAXPROCS(0))
-			nd := CheckAgainstNondet(ts, prop, runtime.GOMAXPROCS(0))
+			det := Check(ts, prop)
+			nd := CheckAgainstNondet(ts, prop)
 			if det.Holds != nd.Holds {
 				t.Errorf("%s %v: det=%v antichain=%v", ts.Name(), prop, det.Holds, nd.Holds)
 			}

@@ -37,9 +37,10 @@ func TestTable2ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTable2DispatchesOnWorkerCount checks the driver takes its
-// parallel path under a multi-worker Options.Workers in both engines
-// and still returns the sequential verdicts.
+// TestTable2DispatchesOnWorkerCount checks that a multi-worker
+// Options.Workers — the on-the-fly rows' fan-out, nothing for the
+// materialized ones — still returns the one-worker verdicts in both
+// engines.
 func TestTable2DispatchesOnWorkerCount(t *testing.T) {
 	systems := PaperSystems(2, 1)
 	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {

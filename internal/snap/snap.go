@@ -1,16 +1,15 @@
 // Package snap persists the canonical exploration prefix of the packed
-// engines: an append-only, versioned, CRC-framed checkpoint written at
-// the same deterministic level barriers where -maxstates/-timeout/
-// SIGTERM already stop, plus an mmap spill arena (spill.go) that moves
-// the visited set's key storage onto disk so instances larger than RAM
-// stay checkable.
+// scan: an append-only, versioned, CRC-framed checkpoint written at
+// every deterministic level barrier, so a run stopped by -maxstates,
+// -timeout or SIGTERM keeps the prefix up to its last barrier, plus an
+// mmap spill arena (spill.go) that moves the visited set's key storage
+// onto disk so instances larger than RAM stay checkable.
 //
-// Because the per-level state numbering is bit-identical across
-// engines and worker counts, the interned prefix at any barrier is
-// canonical: a run resumed from a snapshot — by any engine, at any
-// worker count, on any machine with the same binary registry —
-// produces verdicts and counterexamples byte-identical to an
-// uninterrupted run. The header carries the format version, the
+// Because the state numbering is first-sight scan order, the interned
+// prefix at any barrier is canonical: a run resumed from a snapshot —
+// by any materialized check, at any worker count, on any machine with
+// the same binary registry — produces verdicts and counterexamples
+// byte-identical to an uninterrupted run. The header carries the format version, the
 // instance parameters, and a registry fingerprint so a mismatched
 // resume fails loudly instead of silently diverging.
 package snap

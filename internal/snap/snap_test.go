@@ -8,15 +8,14 @@ import (
 	"testing"
 
 	"tmcheck/internal/explore"
-	"tmcheck/internal/pack"
 	"tmcheck/internal/tm"
 )
 
 // buildStored runs one materialized build of the system through the
 // store's persistence hooks.
-func buildStored(t *testing.T, s *Store, alg tm.Algorithm, cm tm.ContentionManager, workers int) *explore.TS {
+func buildStored(t *testing.T, s *Store, alg tm.Algorithm, cm tm.ContentionManager) *explore.TS {
 	t.Helper()
-	ts, err := explore.BuildGuarded(alg, cm, workers, nil, s.Persist)
+	ts, err := explore.BuildGuarded(alg, cm, nil, s.Persist)
 	if err != nil {
 		t.Fatalf("BuildGuarded: %v", err)
 	}
@@ -58,7 +57,7 @@ func wantErrContaining(t *testing.T, err error, sub string) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tl2.snap")
-	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil, nil)
+	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenRun(checkpoint): %v", err)
 	}
-	ts := buildStored(t, st, tm.NewTL2(2, 2), nil, 1)
+	ts := buildStored(t, st, tm.NewTL2(2, 2), nil)
 	sameTS(t, base, ts)
 	if ts.Resumed != 0 {
 		t.Errorf("fresh checkpointed build reports Resumed = %d", ts.Resumed)
@@ -80,17 +79,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Resume-only reopen: the build must come back bit-identical,
-	// entirely from the snapshot, at any worker count.
-	for _, workers := range []int{1, 4} {
-		ro, err := OpenRun(path, "", 2, 2)
-		if err != nil {
-			t.Fatalf("OpenRun(resume): %v", err)
-		}
-		ts2 := buildStored(t, ro, tm.NewTL2(2, 2), nil, workers)
-		sameTS(t, base, ts2)
-		if ts2.Resumed != base.NumStates() {
-			t.Errorf("workers=%d: Resumed = %d, want %d", workers, ts2.Resumed, base.NumStates())
-		}
+	// entirely from the snapshot.
+	ro, err := OpenRun(path, "", 2, 2)
+	if err != nil {
+		t.Fatalf("OpenRun(resume): %v", err)
+	}
+	ts2 := buildStored(t, ro, tm.NewTL2(2, 2), nil)
+	sameTS(t, base, ts2)
+	if ts2.Resumed != base.NumStates() {
+		t.Errorf("Resumed = %d, want %d", ts2.Resumed, base.NumStates())
 	}
 }
 
@@ -100,7 +97,7 @@ func TestRerunSameCheckpointResumesInstantly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := buildStored(t, st, tm.NewDSTM(2, 2), nil, 1)
+	ts := buildStored(t, st, tm.NewDSTM(2, 2), nil)
 	full := st.Resumable("dstm")
 	if full != ts.NumStates() {
 		t.Fatalf("Resumable = %d, want %d", full, ts.NumStates())
@@ -111,7 +108,7 @@ func TestRerunSameCheckpointResumesInstantly(t *testing.T) {
 	// already-persisted prefix and must stay idempotent (no new
 	// records, no merge errors) — the budgeted table2 driver builds the
 	// same section twice (SS then OP).
-	ts2 := buildStored(t, st, tm.NewDSTM(2, 2), nil, 1)
+	ts2 := buildStored(t, st, tm.NewDSTM(2, 2), nil)
 	if ts2.Resumed != full {
 		t.Errorf("second build Resumed = %d, want %d", ts2.Resumed, full)
 	}
@@ -127,7 +124,7 @@ func TestRerunSameCheckpointResumesInstantly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	ts3 := buildStored(t, st2, tm.NewDSTM(2, 2), nil, 1)
+	ts3 := buildStored(t, st2, tm.NewDSTM(2, 2), nil)
 	if ts3.Resumed != full {
 		t.Errorf("reopened checkpoint Resumed = %d, want %d", ts3.Resumed, full)
 	}
@@ -152,7 +149,7 @@ func writeSnapshot(t *testing.T) (string, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := buildStored(t, st, tm.NewTL2(2, 2), nil, 1)
+	ts := buildStored(t, st, tm.NewTL2(2, 2), nil)
 	st.Close()
 	return path, ts.NumStates()
 }
@@ -203,11 +200,11 @@ func TestTornRecordDropsOnlyTail(t *testing.T) {
 	if kept >= full {
 		t.Fatalf("Resumable after truncation = %d, want < %d", kept, full)
 	}
-	ts, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil, nil)
+	ts, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := buildStored(t, st, tm.NewTL2(2, 2), nil, 1)
+	got := buildStored(t, st, tm.NewTL2(2, 2), nil)
 	if got.Resumed != kept {
 		t.Errorf("Resumed = %d, want %d", got.Resumed, kept)
 	}
@@ -309,7 +306,7 @@ func TestResumeMissingSectionStartsFresh(t *testing.T) {
 	if p.Resume != nil || p.Sink != nil {
 		t.Errorf("want an empty Persist, got Resume=%v Sink=%v", p.Resume, p.Sink)
 	}
-	ts, err := explore.BuildGuarded(tm.NewDSTM(2, 2), nil, 1, nil, hooks(p))
+	ts, err := explore.BuildGuarded(tm.NewDSTM(2, 2), nil, nil, hooks(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +331,7 @@ func TestAdoptCarriesSectionsForward(t *testing.T) {
 	if st.Path() != dst {
 		t.Errorf("Path() = %q, want the writable path %q", st.Path(), dst)
 	}
-	ts := buildStored(t, st, tm.NewTL2(2, 2), nil, 1)
+	ts := buildStored(t, st, tm.NewTL2(2, 2), nil)
 	if ts.Resumed != full {
 		t.Errorf("Resumed = %d, want %d", ts.Resumed, full)
 	}
@@ -366,29 +363,26 @@ func TestOpenRunSamePathIsCheckpoint(t *testing.T) {
 
 func TestSpillBackedBuildMatches(t *testing.T) {
 	dir := t.TempDir()
-	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, 1, nil, nil)
+	base, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		sp := NewSpill(dir)
-		p := &explore.Persist{Grow: sp.Grow(), GrowShard: func(int) pack.GrowFunc { return sp.Grow() }}
-		ts, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, workers, nil, hooks(p))
-		if err != nil {
-			sp.Close()
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sameTS(t, base, ts)
-		if err := sp.Close(); err != nil {
-			t.Errorf("workers=%d: Close: %v", workers, err)
-		}
-		left, err := filepath.Glob(filepath.Join(dir, "tmspill-*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(left) != 0 {
-			t.Errorf("workers=%d: spill files left behind: %v", workers, left)
-		}
+	sp := NewSpill(dir)
+	ts, err := explore.BuildGuarded(tm.NewTL2(2, 2), nil, nil, hooks(&explore.Persist{Grow: sp.Grow()}))
+	if err != nil {
+		sp.Close()
+		t.Fatal(err)
+	}
+	sameTS(t, base, ts)
+	if err := sp.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "tmspill-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("spill files left behind: %v", left)
 	}
 }
 

@@ -86,17 +86,16 @@ func Run(ctx context.Context, cfg Config) error {
 	chaos.Uninstall() // baselines must be fault-free
 	defer chaos.Uninstall()
 
-	// Fault-free baselines, one per (tm, workers) shape the chaos runs
-	// will be compared against.
+	// Fault-free baselines, one per TM. The soak job is a materialized
+	// check, whose worker count selects no code, so the 1-worker
+	// baseline serves the chaos runs at every count.
 	baselines := map[string][]byte{}
 	for _, lc := range localCases {
-		for workers := 1; workers <= 2; workers++ {
-			res, err := job.Run(ctx, soakSpec(lc.tm, workers))
-			if err != nil {
-				return fmt.Errorf("soak: fault-free baseline %s/w%d failed: %w", lc.name, workers, err)
-			}
-			baselines[baselineKey(lc.tm, workers)] = normalize(res)
+		res, err := job.Run(ctx, soakSpec(lc.tm, 1))
+		if err != nil {
+			return fmt.Errorf("soak: fault-free baseline %s failed: %w", lc.name, err)
 		}
+		baselines[lc.tm] = normalize(res)
 	}
 
 	// One in-process daemon serves every seed's remote case; its jobs
@@ -139,7 +138,9 @@ func Run(ctx context.Context, cfg Config) error {
 }
 
 // runSeed installs seed's plan, runs the local and remote cases, and
-// classifies every outcome against the invariant.
+// classifies every outcome against the invariant. The local cases
+// alternate between one and two workers by seed parity, so a
+// two-worker run is compared against the one-worker baseline.
 func runSeed(ctx context.Context, seed uint64, dir, addr string, baselines map[string][]byte) ([]string, error) {
 	chaos.Install(chaos.NewPlan(seed))
 	defer chaos.Uninstall()
@@ -151,14 +152,14 @@ func runSeed(ctx context.Context, seed uint64, dir, addr string, baselines map[s
 		sp.Checkpoint = filepath.Join(dir, fmt.Sprintf("s%d-%s.snap", seed, lc.name))
 		sp.Spill = dir
 		res, err := job.Run(ctx, sp)
-		outcome, cerr := classify(baselines[baselineKey(lc.tm, workers)], res, err)
+		outcome, cerr := classify(baselines[lc.tm], res, err)
 		if cerr != nil {
 			return nil, fmt.Errorf("local %s/w%d: %w", lc.name, workers, cerr)
 		}
 		if outcome == "limit" {
 			// The crash-recovery promise: a limited run's snapshot prefix
 			// must resume — fault-free — to the exact baseline verdict.
-			if ok, rerr := resumesToBaseline(ctx, sp, baselines[baselineKey(lc.tm, workers)]); rerr != nil {
+			if ok, rerr := resumesToBaseline(ctx, sp, baselines[lc.tm]); rerr != nil {
 				return nil, fmt.Errorf("local %s/w%d: resume after limit: %w", lc.name, workers, rerr)
 			} else if ok {
 				outcome = "resumed"
@@ -175,7 +176,7 @@ func runSeed(ctx context.Context, seed uint64, dir, addr string, baselines map[s
 			Attempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond,
 			HeartbeatTimeout: 2 * time.Second,
 		}, nil)
-		outcome, cerr := classify(baselines[baselineKey("dstm", 1)], res, err)
+		outcome, cerr := classify(baselines["dstm"], res, err)
 		if cerr != nil {
 			return nil, fmt.Errorf("remote dstm: %w", cerr)
 		}
@@ -236,10 +237,6 @@ func soakSpec(tmName string, workers int) job.Spec {
 		Kind: job.KindSafety, TM: tmName, Prop: "op", Engine: "materialized",
 		Threads: 2, Vars: 2, Workers: workers, MaxStates: soakBudget,
 	}
-}
-
-func baselineKey(tmName string, workers int) string {
-	return fmt.Sprintf("%s/w%d", tmName, workers)
 }
 
 // normalize renders res with the legitimately run-dependent fields

@@ -62,7 +62,7 @@ func TestEquivalenceOtherInstances(t *testing.T) {
 	for _, dims := range [][2]int{{2, 1}, {3, 1}, {1, 2}} {
 		n, k := dims[0], dims[1]
 		for _, prop := range []Property{StrictSerializability, Opacity} {
-			nd := NewNondet(prop, n, k).EnumerateWorkers(runtime.GOMAXPROCS(0))
+			nd := NewNondet(prop, n, k).Enumerate()
 			dt := NewDet(prop, n, k).EnumerateWorkers(runtime.GOMAXPROCS(0))
 			equal, fwd, cex := automata.EquivalentNFADFA(nd, dt)
 			if !equal {
@@ -83,7 +83,7 @@ func TestEquivalenceOtherInstances(t *testing.T) {
 // same canonical automaton (minimal DFAs are unique up to isomorphism).
 func TestDeterminizationSucceedsAndCanonicalizes(t *testing.T) {
 	for _, prop := range []Property{StrictSerializability, Opacity} {
-		nfa := NewNondet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+		nfa := NewNondet(prop, 2, 2).Enumerate()
 		subset, err := nfa.DeterminizeBounded(2000000)
 		if err != nil {
 			t.Fatalf("%v: determinization blew up: %v", prop, err)

@@ -8,7 +8,6 @@ import (
 	"tmcheck/internal/core"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
@@ -337,13 +336,14 @@ func (sp *Det) AcceptsStates(w core.Word) (bool, int) {
 }
 
 // EnumerateWorkers builds the explicit DFA of the specification over
-// the instance alphabet. One worker runs the sequential scan; more run
-// the parbfs engine. The resulting DFA — state numbering and edges — is
-// identical for every worker count. The enumeration size and time are
-// recorded under "spec.det.<prop>.n<n>k<k>.*" in the obs registry.
-// It is unguarded: a panicking specification panics through.
+// the instance alphabet. The enumeration is one sequential scan, so the
+// worker count changes nothing: the DFA — state numbering and edges —
+// is the same for every value. Callers without a count of their own
+// pass 1. The enumeration size and time are recorded under
+// "spec.det.<prop>.n<n>k<k>.*" in the obs registry. It is unguarded: a
+// panicking specification panics through.
 func (sp *Det) EnumerateWorkers(workers int) *automata.DFA {
-	dfa, err := sp.EnumerateGuarded(workers, nil) // unbounded: only a panic can fail it
+	dfa, err := sp.EnumerateGuarded(nil) // unbounded: only a panic can fail it
 	if err != nil {
 		panic(err)
 	}
@@ -351,21 +351,14 @@ func (sp *Det) EnumerateWorkers(workers int) *automata.DFA {
 }
 
 // EnumerateGuarded is EnumerateWorkers under a guard: its context,
-// state budget, and heap watchdog are consulted per state in the
-// sequential path and at level barriers in the parallel one (which may
-// therefore overshoot the budget by one BFS level), and a panicking
-// specification is isolated into a *guard.LimitError. A nil guard sets
-// no limits.
-func (sp *Det) EnumerateGuarded(workers int, g *guard.Guard) (dfa *automata.DFA, err error) {
+// state budget, and heap watchdog are consulted per state, so a budget
+// trips at an exact state count, and a panicking specification is
+// isolated into a *guard.LimitError. A nil guard sets no limits.
+func (sp *Det) EnumerateGuarded(g *guard.Guard) (dfa *automata.DFA, err error) {
 	start := time.Now()
 	ab := core.Alphabet{Threads: sp.Threads, Vars: sp.Vars}
 	dfa = automata.NewDFA(ab.Size())
-	err = guard.Capture(func() error {
-		if workers <= 1 {
-			return sp.enumerateSeq(dfa, g)
-		}
-		return sp.enumeratePar(dfa, ab, workers, g)
-	})
+	err = guard.Capture(func() error { return sp.enumerate(dfa, g) })
 	if err != nil {
 		return nil, err
 	}
@@ -378,11 +371,10 @@ func (sp *Det) EnumerateGuarded(workers int, g *guard.Guard) (dfa *automata.DFA,
 	return dfa, nil
 }
 
-// enumerateSeq is the sequential scan-order enumeration: a Scan of the
-// lazy view to its fixpoint, materializing each defined transition into
-// the DFA. The numbering is first-sight scan order, exactly as the
-// pre-Space enumerator hand-rolled it.
-func (sp *Det) enumerateSeq(dfa *automata.DFA, g *guard.Guard) error {
+// enumerate is the scan-order enumeration: a Scan of the lazy view to
+// its fixpoint, materializing each defined transition into the DFA. The
+// numbering is first-sight scan order.
+func (sp *Det) enumerate(dfa *automata.DFA, g *guard.Guard) error {
 	lz := NewLazy(sp)
 	_, err := space.Scan(lz, g, func(from space.State, l space.Letter, to space.State) {
 		for dfa.NumStates() <= int(to) {
@@ -390,46 +382,5 @@ func (sp *Det) enumerateSeq(dfa *automata.DFA, g *guard.Guard) error {
 		}
 		dfa.SetEdge(int(from), int(l), int(to))
 	})
-	return err
-}
-
-// enumeratePar is the frontier-parallel enumeration via the shared
-// parbfs engine; the canonical per-level numbering makes the DFA
-// bit-identical to enumerateSeq.
-func (sp *Det) enumeratePar(dfa *automata.DFA, ab core.Alphabet, workers int, g *guard.Guard) error {
-	var states []DState
-	// letters[id] records which letters had an enabled Step from state
-	// id, aligned with that state's emissions.
-	var letters [][]int16
-	var control func(states int) error
-	if g.Active() {
-		control = g.Check
-	}
-	_, err := parbfs.RunControlled(sp.Initial(), workers, control,
-		func(id int, emit func(DState)) {
-			q := states[id]
-			var ls []int16
-			for l := 0; l < ab.Size(); l++ {
-				if q2, ok := sp.Step(q, ab.Decode(l)); ok {
-					ls = append(ls, int16(l))
-					emit(q2)
-				}
-			}
-			letters[id] = ls
-		},
-		func(id int, q DState) {
-			if id > 0 {
-				dfa.AddState() // state 0 is pre-allocated by NewDFA
-			}
-			states = append(states, q)
-			letters = append(letters, nil)
-		},
-		func(id int, succ []int32) {
-			for j, l := range letters[id] {
-				dfa.SetEdge(id, int(l), int(succ[j]))
-			}
-			letters[id] = nil
-		},
-	)
 	return err
 }

@@ -63,7 +63,7 @@ func testDetAgainstOracle(t *testing.T, n, k, iters, maxLen int) {
 // specifications coincide on (2,2), established by antichain equivalence.
 func TestTheorem3Equivalence22(t *testing.T) {
 	for _, prop := range []Property{StrictSerializability, Opacity} {
-		nd := NewNondet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+		nd := NewNondet(prop, 2, 2).Enumerate()
 		dt := NewDet(prop, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
 		equal, fwd, cex := automata.EquivalentNFADFA(nd, dt)
 		if !equal {

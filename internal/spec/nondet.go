@@ -7,7 +7,6 @@ import (
 	"tmcheck/internal/automata"
 	"tmcheck/internal/core"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/parbfs"
 	"tmcheck/internal/tm"
 )
 
@@ -310,21 +309,16 @@ func (sp *Nondet) AcceptsStates(w core.Word) (bool, int) {
 	return true, visited
 }
 
-// EnumerateWorkers builds the explicit NFA of the specification over
-// the instance alphabet, with ε(t) guesses as ε-transitions. One worker
-// runs the sequential scan; more run the parbfs engine. The resulting
-// NFA — state numbering and edge order — is identical for every worker
-// count. The enumeration size and time are recorded under
+// Enumerate builds the explicit NFA of the specification over the
+// instance alphabet, with ε(t) guesses as ε-transitions, in first-sight
+// scan order: each state's letters first, then its ε(t) guesses. The
+// enumeration size and time are recorded under
 // "spec.nondet.<prop>.n<n>k<k>.*" in the obs registry.
-func (sp *Nondet) EnumerateWorkers(workers int) *automata.NFA {
+func (sp *Nondet) Enumerate() *automata.NFA {
 	start := time.Now()
 	ab := core.Alphabet{Threads: sp.Threads, Vars: sp.Vars}
 	nfa := automata.NewNFA(ab.Size())
-	if workers <= 1 {
-		sp.enumerateSeq(nfa, ab)
-	} else {
-		sp.enumeratePar(nfa, ab, workers)
-	}
+	sp.enumerate(nfa, ab)
 	if obs.Enabled() {
 		key := fmt.Sprintf("spec.nondet.%s.n%dk%d", sp.Prop.Key(), sp.Threads, sp.Vars)
 		obs.Inc(key+".enumerations", 1)
@@ -334,8 +328,8 @@ func (sp *Nondet) EnumerateWorkers(workers int) *automata.NFA {
 	return nfa
 }
 
-// enumerateSeq is the sequential scan-order enumeration.
-func (sp *Nondet) enumerateSeq(nfa *automata.NFA, ab core.Alphabet) {
+// enumerate is the scan-order enumeration loop.
+func (sp *Nondet) enumerate(nfa *automata.NFA, ab core.Alphabet) {
 	index := map[NState]int{sp.Initial(): 0}
 	states := []NState{sp.Initial()}
 	intern := func(q NState) (int, bool) {
@@ -362,50 +356,4 @@ func (sp *Nondet) enumerateSeq(nfa *automata.NFA, ab core.Alphabet) {
 			}
 		}
 	}
-}
-
-// enumeratePar is the frontier-parallel enumeration via the shared
-// parbfs engine; the canonical per-level numbering makes the NFA
-// bit-identical to enumerateSeq. Emissions enumerate letters first and
-// ε(t) guesses second, exactly like the sequential loop; markers[id]
-// remembers which was which (letter l, or -(t+1) for an ε by thread t).
-func (sp *Nondet) enumeratePar(nfa *automata.NFA, ab core.Alphabet, workers int) {
-	var states []NState
-	var markers [][]int16
-	parbfs.Run(sp.Initial(), workers,
-		func(id int, emit func(NState)) {
-			q := states[id]
-			var ms []int16
-			for l := 0; l < ab.Size(); l++ {
-				if q2, ok := sp.Step(q, ab.Decode(l)); ok {
-					ms = append(ms, int16(l))
-					emit(q2)
-				}
-			}
-			for t := 0; t < sp.Threads; t++ {
-				if q2, ok := sp.Eps(q, core.Thread(t)); ok {
-					ms = append(ms, int16(-(t + 1)))
-					emit(q2)
-				}
-			}
-			markers[id] = ms
-		},
-		func(id int, q NState) {
-			if id > 0 {
-				nfa.AddState() // state 0 is pre-allocated by NewNFA
-			}
-			states = append(states, q)
-			markers = append(markers, nil)
-		},
-		func(id int, succ []int32) {
-			for j, m := range markers[id] {
-				if m >= 0 {
-					nfa.AddEdge(id, int(m), int(succ[j]))
-				} else {
-					nfa.AddEps(id, int(succ[j]))
-				}
-			}
-			markers[id] = nil
-		},
-	)
 }

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"tmcheck/internal/core"
@@ -117,8 +116,8 @@ func testNondetAgainstOracle(t *testing.T, n, k, iters, maxLen int) {
 func TestNondetEnumerateSizes(t *testing.T) {
 	// Paper §5.3: Σss has 12345 states and Σop 9202 for (2,2). The exact
 	// counts depend on encoding details; reproduce and report.
-	ss := NewNondet(StrictSerializability, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
-	op := NewNondet(Opacity, 2, 2).EnumerateWorkers(runtime.GOMAXPROCS(0))
+	ss := NewNondet(StrictSerializability, 2, 2).Enumerate()
+	op := NewNondet(Opacity, 2, 2).Enumerate()
 	// This implementation normalizes away dead state fields, so both
 	// automata come out smaller than the paper's (and their relative order
 	// differs); EXPERIMENTS.md records the comparison.
@@ -134,7 +133,7 @@ func TestNondetEnumerateMatchesAccepts(t *testing.T) {
 	ab := core.Alphabet{Threads: 2, Vars: 2}
 	for _, prop := range []Property{StrictSerializability, Opacity} {
 		spec := NewNondet(prop, 2, 2)
-		nfa := spec.EnumerateWorkers(runtime.GOMAXPROCS(0))
+		nfa := spec.Enumerate()
 		for i := 0; i < 300; i++ {
 			w := wordgen.WellFormed(rng, wordgen.Config{Threads: 2, Vars: 2, Len: 3 + rng.Intn(8)})
 			if got, want := nfa.Accepts(ab.EncodeWord(w)), spec.Accepts(w); got != want {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tmcheck/internal/automata"
+	"tmcheck/internal/core"
 )
 
 // dims are the instance sizes the reduction theorems need; the
@@ -40,22 +41,53 @@ func TestDetEnumerateWorkersEquivalent(t *testing.T) {
 	}
 }
 
-// TestNondetEnumerateWorkersEquivalent is the same cross-check for the
-// nondeterministic specification's NFA, including ε-edge order.
+// TestNondetEnumerateWorkersEquivalent pins the numbering of the
+// nondeterministic specification's NFA, including ε-edge order, now
+// that its enumeration takes no worker count: Enumerate must equal an
+// independent first-sight scan-order BFS over Step and Eps (letters
+// first, then ε(t) guesses), the canonical order every engine of this
+// repository numbers states in.
 func TestNondetEnumerateWorkersEquivalent(t *testing.T) {
 	for _, prop := range []Property{StrictSerializability, Opacity} {
 		for _, d := range parDims {
 			t.Run(fmt.Sprintf("%s-n%dk%d", prop.Key(), d.n, d.k), func(t *testing.T) {
-				seq := NewNondet(prop, d.n, d.k).EnumerateWorkers(1)
-				for _, workers := range []int{2, 4} {
-					par := NewNondet(prop, d.n, d.k).EnumerateWorkers(workers)
-					if !nfasEqual(par, seq) {
-						t.Fatalf("workers=%d: NFA diverges from sequential enumeration", workers)
-					}
+				sp := NewNondet(prop, d.n, d.k)
+				if !nfasEqual(sp.Enumerate(), refNondetBFS(sp)) {
+					t.Fatal("NFA diverges from the scan-order reference enumeration")
 				}
 			})
 		}
 	}
+}
+
+// refNondetBFS enumerates sp by a plain scan-order BFS, independently
+// of Nondet.Enumerate.
+func refNondetBFS(sp *Nondet) *automata.NFA {
+	ab := core.Alphabet{Threads: sp.Threads, Vars: sp.Vars}
+	nfa := automata.NewNFA(ab.Size())
+	ids := map[NState]int{sp.Initial(): 0}
+	queue := []NState{sp.Initial()}
+	id := func(q NState) int {
+		if i, ok := ids[q]; ok {
+			return i
+		}
+		ids[q] = nfa.AddState()
+		queue = append(queue, q)
+		return ids[q]
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		for l := 0; l < ab.Size(); l++ {
+			if q2, ok := sp.Step(queue[qi], ab.Decode(l)); ok {
+				nfa.AddEdge(qi, l, id(q2))
+			}
+		}
+		for th := 0; th < sp.Threads; th++ {
+			if q2, ok := sp.Eps(queue[qi], core.Thread(th)); ok {
+				nfa.AddEps(qi, id(q2))
+			}
+		}
+	}
+	return nfa
 }
 
 func nfasEqual(a, b *automata.NFA) bool {
