@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"tmcheck/internal/guard"
 	"tmcheck/internal/job"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/space"
 )
 
 // bgCtx is the no-deadline context the direct run* call sites use.
@@ -334,7 +334,7 @@ func TestMaxStatesBudgetCLI(t *testing.T) {
 	gflags.MaxStates = 100
 	for _, engine := range []string{"onthefly", "materialized"} {
 		err := runSafety(bgCtx, []string{"-tm", "dstm", "-prop", "op", "-engine", engine})
-		if !errors.Is(err, space.ErrBudgetExceeded) {
+		if !errors.Is(err, guard.ErrStates) {
 			t.Errorf("engine %s: want budget error, got %v", engine, err)
 		}
 	}
@@ -350,7 +350,7 @@ func TestMaxStatesBudgetLivenessCLI(t *testing.T) {
 	gflags.MaxStates = 50
 	for _, engine := range []string{"onthefly", "materialized"} {
 		err := runLiveness(bgCtx, []string{"-tm", "dstm", "-cm", "aggressive", "-engine", engine})
-		if !errors.Is(err, space.ErrBudgetExceeded) {
+		if !errors.Is(err, guard.ErrStates) {
 			t.Errorf("liveness engine %s: want budget error, got %v", engine, err)
 		}
 		if err == nil || !strings.Contains(err.Error(), "-maxstates") {
@@ -376,7 +376,7 @@ func TestMaxStatesBudgetLivenessCLI(t *testing.T) {
 			return runTable3(bgCtx, []string{"-engine", engine})
 		})
 		strictLimits = false
-		if !errors.Is(err, space.ErrBudgetExceeded) {
+		if !errors.Is(err, guard.ErrStates) {
 			t.Errorf("table3 engine %s -strict-limits: want budget error, got %v", engine, err)
 		}
 	}
@@ -403,7 +403,7 @@ func TestTable2KeepGoingCLI(t *testing.T) {
 			return runTable2(bgCtx, []string{"-engine", engine})
 		})
 		strictLimits = false
-		if !errors.Is(err, space.ErrBudgetExceeded) {
+		if !errors.Is(err, guard.ErrStates) {
 			t.Errorf("table2 engine %s -strict-limits: want budget error, got %v", engine, err)
 		}
 	}

@@ -62,3 +62,22 @@ func TestTL2BugGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestCustomTMGolden runs the one shipped program whose TM does not
+// pack, so every check in it runs on explore's boxed core.
+func TestCustomTMGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("example subprocess skipped in -short")
+	}
+	out := runExample(t, "customtm")
+	for _, want := range []string{
+		"strict serializability:  FAILS: (r,1)1, (w,1)1, (w,1)2, c2, c1",
+		"opacity:                 FAILS: (r,1)1, (w,1)2, c2, (r,1)1",
+		"HOLDS (3 TM states",
+		"conclusion:                   safe for ALL programs (Theorem 1)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("customtm output missing %q:\n%s", want, out)
+		}
+	}
+}

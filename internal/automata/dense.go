@@ -209,19 +209,14 @@ type denseWalkBufs struct {
 
 var denseWalkPool = sync.Pool{New: func() any { return new(denseWalkBufs) }}
 
-// IncludedInDFADense reports whether L(a) ⊆ L(d), like IncludedInDFA
-// but on the dense view. The counterexample is bit-identical to the
-// boxed check's.
-func IncludedInDFADense(a *DenseNFA, d *DFA) (bool, []int) {
-	ok, cex, _, _ := IncludedInDFADenseGuarded(a, d, guard.New(nil, 0, 0))
-	return ok, cex
-}
-
 // IncludedInDFADenseGuarded is the dense-array deterministic inclusion
-// check: the same BFS over product pairs as IncludedInDFAGuarded —
-// identical verdicts, counterexamples, pair counts, and guard
-// consultation points — but walking CSR successor arrays with a pooled
-// one-bit visited table, allocating only for queue growth.
+// check: the same BFS over product pairs as IncludedInDFAStats —
+// identical verdicts, counterexamples and pair counts — but walking CSR
+// successor arrays with a pooled one-bit visited table, allocating only
+// for queue growth. The guard's context, pair budget and heap watchdog
+// are consulted once per dequeued product pair, so a -timeout or Ctrl-C
+// interrupts even a long inclusion phase; the stats still report the
+// truncated work.
 func IncludedInDFADenseGuarded(a *DenseNFA, d *DFA, g *guard.Guard) (ok bool, cex []int, st InclusionStats, err error) {
 	width := int64(d.NumStates() + 1)
 	total := int64(a.numStates) * width

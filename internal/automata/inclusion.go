@@ -3,7 +3,6 @@ package automata
 import (
 	"sync"
 
-	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
 )
 
@@ -75,30 +74,13 @@ func putDenseVisited(v []int32, touched []int64) {
 
 // IncludedInDFAStats is IncludedInDFA returning the work counters; the
 // aggregate totals are also recorded under "automata.dfa_inclusion.*"
-// in the obs registry.
+// in the obs registry. It is the reference walk the dense check
+// (IncludedInDFADenseGuarded) is tested against.
 //
 // The visited set over product pairs (n, d) is a dense int32 table
 // indexed by n·width+d (both factors are known up front), recycled
 // across checks through a pool; oversized products fall back to a map.
 func IncludedInDFAStats(a *NFA, d *DFA) (ok bool, cex []int, st InclusionStats) {
-	ok, cex, st, _ = IncludedInDFABudget(a, d, 0) // unbounded: cannot fail
-	return ok, cex, st
-}
-
-// IncludedInDFABudget is IncludedInDFAStats with a budget on visited
-// product pairs: when maxPairs > 0 and the search would visit more, it
-// stops with a *space.BudgetError (the stats still report the truncated
-// work). maxPairs <= 0 means unbounded, and then the error is always
-// nil.
-func IncludedInDFABudget(a *NFA, d *DFA, maxPairs int) (bool, []int, InclusionStats, error) {
-	return IncludedInDFAGuarded(a, d, guard.New(nil, maxPairs, 0))
-}
-
-// IncludedInDFAGuarded is the fully guarded inclusion check: the
-// guard's context, pair budget, and heap watchdog are consulted once
-// per dequeued product pair, so a -timeout or Ctrl-C interrupts even a
-// long inclusion phase. The stats still report the truncated work.
-func IncludedInDFAGuarded(a *NFA, d *DFA, g *guard.Guard) (ok bool, cex []int, st InclusionStats, err error) {
 	type node struct {
 		parent int
 		letter int // -1 for the root and for ε-steps
@@ -157,26 +139,20 @@ func IncludedInDFAGuarded(a *NFA, d *DFA, g *guard.Guard) (ok bool, cex []int, s
 		return rev
 	}
 
-	record := func(ok bool, cex []int, err error) (bool, []int, InclusionStats, error) {
+	record := func(ok bool, cex []int) (bool, []int, InclusionStats) {
 		st = InclusionStats{PairsVisited: len(queue), CexLen: len(cex)}
 		obs.Inc("automata.dfa_inclusion.checks", 1)
 		obs.Inc("automata.dfa_inclusion.pairs", int64(st.PairsVisited))
 		if dense != nil {
 			putDenseVisited(dense, queue)
 		}
-		return ok, cex, st, err
+		return ok, cex, st
 	}
 
 	start := encode(a.Initial(), d.Initial())
 	set(start, 0)
 	queue = append(queue, start)
-	guarded := g.Active()
 	for qi := 0; qi < len(queue); qi++ {
-		if guarded {
-			if gerr := g.Check(len(queue)); gerr != nil {
-				return record(false, nil, gerr)
-			}
-		}
 		pair := queue[qi]
 		n := int(pair / width)
 		dd := int(pair % width)
@@ -192,14 +168,14 @@ func IncludedInDFAGuarded(a *NFA, d *DFA, g *guard.Guard) (ok bool, cex []int, s
 			}
 			d2 := d.Succ(dd, l)
 			if d2 < 0 {
-				return record(false, buildWord(idx, l), nil)
+				return record(false, buildWord(idx, l))
 			}
 			for _, n2 := range succs {
 				push(encode(int(n2), d2), idx, l)
 			}
 		}
 	}
-	return record(true, nil, nil)
+	return record(true, nil)
 }
 
 // IncludedInNFA reports whether L(a) ⊆ L(b) using the antichain method.

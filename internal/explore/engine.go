@@ -1,12 +1,12 @@
-package space
+package explore
 
 import "fmt"
 
 // Engine selects how a check is executed. It is the vocabulary of the
 // -engine flag of cmd/tmcheck, shared by the safety and liveness
 // checkers: both offer a classic materialize-then-check pipeline and a
-// lazy search that drives the Space successor generators directly and
-// stops early.
+// lazy search that expands states only as it reaches them and stops
+// early.
 type Engine uint8
 
 const (

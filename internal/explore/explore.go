@@ -31,7 +31,6 @@ import (
 	"tmcheck/internal/core"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -66,16 +65,17 @@ type Edge struct {
 	Emit int16
 }
 
-// stateTable is the id-indexed product-state storage of a TS. The
-// generic scan keeps boxed states (boxedStates); the packed scan keeps
-// bit-packed keys and decodes on demand (packedStates), so
-// materializing a system never boxes every state.
+// stateTable is the id-indexed product-state storage of a TS. A packed
+// scan keeps its keys and decodes on demand (packedStates), so
+// materializing a packed system never boxes every state; boxed scans
+// and the restricted builder keep boxed states (boxedStates).
 type stateTable interface {
 	Len() int
 	At(i int32) prodState
 }
 
-// boxedStates is the boxed state table of the generic scan.
+// boxedStates is the boxed state table of boxed scans and of the
+// restricted builder.
 type boxedStates []prodState
 
 func (b boxedStates) Len() int             { return len(b) }
@@ -226,84 +226,33 @@ func ScanLevels(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barri
 // scan is the exploration engine under BuildGuarded and ScanLevels:
 // scan-order BFS to the fixpoint, with an optional guard, an optional
 // per-level barrier hook and optional persistence hooks, inside a
-// panic-isolation capture. Products whose TM and manager both pack
-// (packedFor) run on the bit-packed open-addressing core; everything
-// else takes the generic boxed path. Both produce bit-identical
-// adjacency and numbering. Checkpoint/resume and spill exist only on
-// the packed scan (the boxed path has no canonical byte representation
-// to persist), so a persisting build of an unpackable product fails
-// loudly instead of silently discarding the work it was asked to keep.
+// panic-isolation capture. Every product runs on scanPacked: products
+// whose TM and manager both pack (packedFor) on their bit-packed keys,
+// the others on the boxed core's numbers, with bit-identical adjacency
+// and numbering. Checkpoint/resume and spill need the packed keys (a
+// boxed number means nothing in another process), so a persisting build
+// of an unpackable product fails loudly instead of silently discarding
+// the work it was asked to keep.
 func scan(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier, p *Persist) (out [][]Edge, states stateTable, resumed int, err error) {
-	pc := packedFor(alg, cm)
-	if p != nil && pc == nil && (p.Resume != nil || p.Sink != nil || p.Grow != nil) {
+	pc, packed := coreFor(alg, cm)
+	if p != nil && !packed && (p.Resume != nil || p.Sink != nil || p.Grow != nil) {
 		return nil, nil, 0, errNotPackable(alg, cm)
 	}
 	err = guard.Capture(func() error {
 		var ierr error
-		if pc != nil {
-			out, states, resumed, ierr = scanPacked(pc, alg, cm, g, barrier, p)
-		} else {
-			out, states, ierr = scanBoxed(alg, cm, g, barrier)
-		}
+		out, states, resumed, ierr = scanPacked(pc, alg, cm, g, barrier, p)
 		return ierr
 	})
 	if err != nil {
-		out, states = nil, nil
+		return nil, nil, resumed, err
 	}
-	return out, states, resumed, err
-}
-
-// scanBoxed is the sequential scan-order BFS over the boxed unfolding,
-// interning successors on first sight and recording the resolved edges
-// per state. The guard is exact (checked per state, before the barrier
-// at the same boundary).
-func scanBoxed(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier) ([][]Edge, stateTable, error) {
-	u := newUnfolding(alg, cm)
-	in := space.NewInterner[prodState]()
-	in.Intern(u.initial())
-	var out [][]Edge
-	// The yield closure is hoisted out of the scan loop (capturing qi) so
-	// the hot path allocates none per state.
-	var qi space.State
-	yield := func(next prodState, e Edge) {
-		e.To = in.Intern(next)
-		out[qi] = append(out[qi], e)
+	if !packed {
+		// The scan interns each boxed number as the core assigns it, so
+		// numbers are ids: the boxed states alone are the table, and the
+		// core's index and the scan's keys can go.
+		states = boxedStates(pc.(*boxedCore).states)
 	}
-	guarded := g.Active()
-	// With the telemetry bus on, every level boundary additionally
-	// publishes an EvLevelDone; disabled, the boundary bookkeeping is
-	// only kept when a barrier hook needs it, exactly as before.
-	emit := newLevelEmitter(systemLabel(alg, cm))
-	levelEnd := 1
-	for qi = 0; int(qi) < in.Len(); qi++ {
-		if guarded {
-			if err := g.Check(in.Len()); err != nil {
-				return nil, nil, err
-			}
-		}
-		if (barrier != nil || emit != nil) && int(qi) == levelEnd {
-			if emit != nil {
-				emit(in.Len(), levelEnd)
-			}
-			if barrier != nil {
-				if err := barrier(out, in.Len(), levelEnd); err != nil {
-					return nil, nil, err
-				}
-			}
-			levelEnd = in.Len()
-		}
-		out = append(out, nil)
-		u.expand(in.At(qi), yield)
-	}
-	if emit != nil {
-		emit(in.Len(), in.Len())
-	}
-	if barrier != nil {
-		if err := barrier(out, in.Len(), in.Len()); err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, boxedStates(in.Snapshot()), nil
+	return out, states, resumed, nil
 }
 
 // systemLabel names the system without constructing a TS.

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tmcheck/internal/tm"
@@ -48,8 +49,8 @@ func buildFallbackSystems(t *testing.T) []struct {
 
 // TestOpaqueFallbackMatchesPacked pins the opt-in contract of the
 // packed core: a registry TM (or manager) without an encoder — modeled
-// by tm.Opaque/tm.OpaqueCM, which strip the typed extension — must take
-// the generic boxed path and produce the identical table: same states
+// by tm.Opaque/tm.OpaqueCM, which strip the typed extension — must run
+// on the boxed core and produce the identical table: same states
 // in the same canonical order, same edges edge for edge, at one worker
 // and at four.
 func TestOpaqueFallbackMatchesPacked(t *testing.T) {
@@ -102,5 +103,31 @@ func compareTables(t *testing.T, label string, a, b *TS) {
 			t.Fatalf("%s: state %d decodes differently:\n packed  %+v\n generic %+v",
 				label, s, sa, sb)
 		}
+	}
+}
+
+// nopSink is a LevelSink that keeps nothing.
+type nopSink struct{}
+
+func (nopSink) AppendLevel([]uint64, [][]Edge, int, int, int, int) error { return nil }
+
+// TestPersistRefusesBoxedProducts pins the refusal of checkpoint,
+// resume and spill for a product on the boxed core: its numbers mean
+// nothing in another process, so each hook must fail the build loudly
+// instead of exploring without it.
+func TestPersistRefusesBoxedProducts(t *testing.T) {
+	alg := tm.Opaque(tm.NewDSTM(2, 1))
+	if _, _, ok := PackedInfo(alg, nil); ok {
+		t.Fatal("PackedInfo accepts an opaque product")
+	}
+	grow := func(need int, cur []uint64) []uint64 { return append(make([]uint64, 0, need), cur...) }
+	for _, p := range []*Persist{{Resume: &ResumeState{Keys: []uint64{0}, Interned: 1}}, {Sink: nopSink{}}, {Grow: grow}} {
+		_, err := BuildGuarded(alg, nil, nil, func(tm.Algorithm, tm.ContentionManager) (*Persist, error) { return p, nil })
+		if err == nil || !strings.Contains(err.Error(), "not bit-packable") {
+			t.Errorf("persist %+v: err = %v, want the not-bit-packable refusal", *p, err)
+		}
+	}
+	if _, err := BuildGuarded(alg, nil, nil, func(tm.Algorithm, tm.ContentionManager) (*Persist, error) { return &Persist{}, nil }); err != nil {
+		t.Errorf("empty persist hooks: %v", err)
 	}
 }

@@ -7,124 +7,11 @@ import (
 	"time"
 
 	"tmcheck/internal/chaos"
-	"tmcheck/internal/core"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
 	"tmcheck/internal/pack"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
-
-// unfolding is the boxed successor generator of the TM×CM×most-general-
-// program product: it runs the TM semantics on boxed tm.State values.
-// The boxed scan (scanBoxed) uses it for products the packed core
-// rejects, and so does Lazy. Every engine funnels through forEachEnabled/forEachStep (or
-// the packed core's mirror of them), so per-state edge order — and hence
-// every canonical numbering and every counterexample downstream — is
-// bit-identical across engines by construction.
-type unfolding struct {
-	alg      tm.Algorithm
-	cm       tm.ContentionManager // nil when the TM runs without a manager
-	ab       core.Alphabet
-	commands []core.Command
-}
-
-func newUnfolding(alg tm.Algorithm, cm tm.ContentionManager) *unfolding {
-	ab := core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}
-	return &unfolding{alg: alg, cm: cm, ab: ab, commands: ab.Commands()}
-}
-
-// initial returns the product's initial state.
-func (u *unfolding) initial() prodState {
-	var cmInit tm.State
-	if u.cm != nil {
-		cmInit = u.cm.Initial()
-	}
-	return prodState{TM: u.alg.Initial(), CM: cmInit}
-}
-
-// expand enumerates the successors of product state q without interning
-// anything: the edge templates are yielded with To unset.
-func (u *unfolding) expand(q prodState, yield func(next prodState, e Edge)) {
-	u.forEachEnabled(q, func(c core.Command, t core.Thread) {
-		u.forEachStep(q, c, t, yield)
-	})
-}
-
-// forEachEnabled calls yield for every (command, thread) pair the most
-// general program may issue from q: everything when the thread has no
-// pending command, only the pending command otherwise.
-func (u *unfolding) forEachEnabled(q prodState, yield func(core.Command, core.Thread)) {
-	n := u.alg.Threads()
-	for t := core.Thread(0); int(t) < n; t++ {
-		if q.Pending[t].Active {
-			yield(q.Pending[t].C, t)
-			continue
-		}
-		for _, c := range u.commands {
-			yield(c, t)
-		}
-	}
-}
-
-// forEachStep enumerates every transition for command c by thread t from
-// state q, calling yield with the successor product state and the edge
-// template (To left unset — the caller interns the successor). Every
-// engine funnels through this single enumerator, so their edge order
-// agrees by construction.
-func (u *unfolding) forEachStep(q prodState, c core.Command, t core.Thread, yield func(next prodState, e Edge)) {
-	steps := u.alg.Steps(q.TM, c, t)
-	conflict := u.alg.Conflict(q.TM, c, t)
-
-	// cmStep resolves the contention-manager product for extended command
-	// x: allowed reports whether the transition survives, and next is the
-	// manager's state afterwards.
-	cmStep := func(x tm.XCmd) (next tm.State, allowed bool) {
-		if u.cm == nil {
-			return q.CM, true
-		}
-		p2, has := u.cm.Step(q.CM, x, t)
-		if conflict && !has {
-			return nil, false
-		}
-		if has {
-			return p2, true
-		}
-		return q.CM, true
-	}
-
-	for _, step := range steps {
-		cmNext, ok := cmStep(step.X)
-		if !ok {
-			continue
-		}
-		next := prodState{TM: step.Next, Pending: q.Pending, CM: cmNext}
-		emit := int16(-1)
-		if step.R == tm.RespPending {
-			next.Pending[t] = pending{Active: true, C: c}
-		} else {
-			next.Pending[t] = pending{}
-			if step.R == tm.Resp1 {
-				emit = int16(u.ab.Encode(core.St(c, t)))
-			}
-		}
-		yield(next, Edge{Cmd: c, T: t, X: step.X, R: step.R, Emit: emit})
-	}
-
-	// Abort transitions exist when the command is abort enabled (no
-	// extended-command step) or the conflict function is true.
-	if len(steps) == 0 || conflict {
-		if cmNext, ok := cmStep(tm.XCmd{Kind: tm.XAbort}); ok {
-			next := prodState{TM: u.alg.AbortStep(q.TM, t), Pending: q.Pending, CM: cmNext}
-			next.Pending[t] = pending{}
-			emit := int16(u.ab.Encode(core.St(core.Abort(), t)))
-			yield(next, Edge{
-				Cmd: c, T: t,
-				X: tm.XCmd{Kind: tm.XAbort}, R: tm.Resp0, Emit: emit,
-			})
-		}
-	}
-}
 
 // LazyEdge is one cached transition of a Lazy state: the successor's id
 // and the emitted letter, or -1 for an internal ⊥-step.
@@ -142,9 +29,9 @@ var noEdges = []LazyEdge{}
 // once; each expansion is cached as its (successor, letter) list, ε-steps
 // first and then by letter, in stable order — the successor order of the
 // materialized inclusion walk, so the product BFS and its counterexample
-// are bit-identical across engines. Products that pack (packedFor) intern
-// bit-packed keys in a pack.Map; the others run the boxed unfolding
-// behind the same cache.
+// are bit-identical across engines. Every product interns its core's
+// keys in a pack.Map: bit-packed keys when it packs (packedFor), the
+// boxed core's one-word numbers otherwise.
 //
 // A Lazy belongs to one goroutine. Prefetch hands the expansion of
 // states the caller will ask for soon to helper goroutines, which read
@@ -153,16 +40,14 @@ var noEdges = []LazyEdge{}
 // would intern an inline expansion's, so ids never depend on the
 // helpers. Wait joins them.
 type Lazy struct {
-	pc      packedIface // nil: boxed fallback through u and boxed
+	pc      packedIface
+	packed  bool // false: pc is a boxed core, which is never prefetched
 	keys    *pack.Map
-	u       *unfolding
-	boxed   *space.Interner[prodState]
 	edges   [][]LazyEdge // per state; nil until expanded
 	arena   arena[LazyEdge]
 	scratch []LazyEdge
 	cur     [pack.MaxWords]uint64
 	yield   func(next []uint64, e Edge)
-	yieldQ  func(next prodState, e Edge)
 
 	// Prefetch state. Every prefetched state is an entry numbered in
 	// prefetch order; slot[id] is one more than its entry's number (0:
@@ -203,26 +88,14 @@ type aheadSpan struct{ h, start, end int32 }
 // NewLazy returns the lazy product of alg (with an optional manager cm)
 // and the most general program, holding only the initial state (id 0).
 func NewLazy(alg tm.Algorithm, cm tm.ContentionManager) *Lazy {
-	lz := &Lazy{pc: packedFor(alg, cm), arena: arena[LazyEdge]{chunkSize: 64}}
-	if lz.pc != nil {
-		kw := lz.pc.keyWords()
-		lz.keys = pack.NewMap(kw, 0)
-		lz.pc.writeInit(lz.cur[:kw])
-		lz.keys.Intern(lz.cur[:kw])
-		lz.yield = func(next []uint64, e Edge) {
-			lz.scratch = append(lz.scratch, LazyEdge{To: lz.internKey(next), Emit: e.Emit})
-		}
-	} else {
-		lz.u = newUnfolding(alg, cm)
-		lz.boxed = space.NewInterner[prodState]()
-		lz.boxed.Intern(lz.u.initial())
-		lz.yieldQ = func(next prodState, e Edge) {
-			id, fresh := lz.boxed.InternFresh(next)
-			if fresh {
-				lz.edges = append(lz.edges, nil)
-			}
-			lz.scratch = append(lz.scratch, LazyEdge{To: id, Emit: e.Emit})
-		}
+	lz := &Lazy{arena: arena[LazyEdge]{chunkSize: 64}}
+	lz.pc, lz.packed = coreFor(alg, cm)
+	kw := lz.pc.keyWords()
+	lz.keys = pack.NewMap(kw, 0)
+	lz.pc.writeInit(lz.cur[:kw])
+	lz.keys.Intern(lz.cur[:kw])
+	lz.yield = func(next []uint64, e Edge) {
+		lz.scratch = append(lz.scratch, LazyEdge{To: lz.internKey(next), Emit: e.Emit})
 	}
 	lz.edges = append(lz.edges, nil)
 	return lz
@@ -247,16 +120,13 @@ func (lz *Lazy) Edges(id int32) []LazyEdge {
 		return es
 	}
 	lz.scratch = lz.scratch[:0]
-	switch {
-	case int(id) < len(lz.slot) && lz.slot[id] > lz.readyLo && lz.slot[id] <= lz.readyHi:
+	if int(id) < len(lz.slot) && lz.slot[id] > lz.readyLo && lz.slot[id] <= lz.readyHi {
 		lz.takeAhead(lz.slot[id] - 1 - lz.readyLo)
-	case lz.pc != nil:
+	} else {
 		// KeyAt aliases the table and interning may grow it: expand a copy.
 		kw := lz.pc.keyWords()
 		copy(lz.cur[:kw], lz.keys.KeyAt(id))
 		lz.pc.expandKey(lz.cur[:kw], lz.yield)
-	default:
-		lz.u.expand(lz.boxed.At(id), lz.yieldQ)
 	}
 	return lz.settle(id)
 }
@@ -301,7 +171,7 @@ func (lz *Lazy) settle(id int32) []LazyEdge {
 // inline and drops the helper's copy. Boxed products and one worker do
 // not prefetch.
 func (lz *Lazy) Prefetch(ids []int32, workers int) {
-	if lz.pc == nil || workers <= 1 {
+	if !lz.packed || workers <= 1 {
 		return
 	}
 	lz.wg.Wait()

@@ -24,15 +24,16 @@ import (
 // (same command order, same contention-manager product rule, same
 // abort rule on the pre-filter step count), so the canonical numbering,
 // every edge list, and every downstream verdict are bit-identical to
-// the generic boxed path — TestPackedFallbackEquivalence pins this.
+// the boxed core (boxed.go) — TestOpaqueFallbackMatchesPacked pins this.
 
 // pendBits is the fixed per-thread width of the pending-command field:
 // 1 active bit, 2 op bits, 4 variable bits (k ≤ 16). An inactive entry
-// is all zeros, matching the zero pending value the generic path keeps.
+// is all zeros, matching the zero pending value the boxed core keeps.
 const pendBits = 7
 
-// packedIface is the non-generic view of packedCore[S] the scan loops
-// drive; one value is single-goroutine, clone() makes per-helper copies.
+// packedIface is the core the scan loops drive: packedCore[S] for a
+// product that packs, boxedCore for any other. One value is
+// single-goroutine; clone() makes per-helper copies of a packed core.
 type packedIface interface {
 	keyWords() int
 	// keyBits is the exact bit width of the product key — part of the
@@ -58,7 +59,7 @@ type packedIface interface {
 // factor cannot pack: an algorithm outside the typed registry, a
 // wrapper whose PackedFor does not match its Name (method promotion
 // guard), a user-registered contention manager, or a product key wider
-// than pack.MaxWords. Callers fall back to the generic boxed path.
+// than pack.MaxWords. Such products run on the boxed core (coreFor).
 func packedFor(alg tm.Algorithm, cm tm.ContentionManager) packedIface {
 	pcm, ok := tm.PackCM(cm)
 	if !ok {
@@ -328,8 +329,8 @@ func (a *arena[T]) place(es []T) []T {
 	return a.cur[start:len(a.cur):len(a.cur)]
 }
 
-// packedStates is the packed state table: keys stay bit-packed inside
-// the scan's intern table and decode to boxed product states on demand.
+// packedStates is the scan's state table: keys stay in the scan's
+// intern table and decode to boxed product states on demand.
 type packedStates struct {
 	pc packedIface
 	in *pack.Map
@@ -339,10 +340,10 @@ func (p *packedStates) Len() int { return p.in.Len() }
 
 func (p *packedStates) At(i int32) prodState { return p.pc.stateAt(p.in.KeyAt(i)) }
 
-// scanPacked is scanBoxed over packed keys: one open-addressing intern
-// table, a reused per-state edge scratch, and the chunked edge arena.
-// Barrier and guard semantics match scanBoxed exactly. Under persistence
-// hooks the scan seeds from the snapshot prefix (re-interning the keys
+// scanPacked is the sequential scan-order BFS over a core's keys: one
+// open-addressing intern table, a reused per-state edge scratch, and
+// the chunked edge arena. The guard is exact (checked per state, before
+// the barrier at the same boundary). Under persistence hooks the scan seeds from the snapshot prefix (re-interning the keys
 // in id order, so the numbering continues canonically), streams each
 // level delta into the sink before consulting the guard at the same
 // boundary (a tripped limit keeps the prefix it just persisted), and

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tmcheck/internal/guard"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -123,7 +122,7 @@ func TestScanLevelsBudgetBeforeBarrier(t *testing.T) {
 		}
 		return nil
 	})
-	if !errors.Is(err, space.ErrBudgetExceeded) {
+	if !errors.Is(err, guard.ErrStates) {
 		t.Errorf("err = %v, want budget error before the barrier", err)
 	}
 }

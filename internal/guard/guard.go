@@ -34,9 +34,9 @@ import (
 type Kind uint8
 
 const (
-	// KindStates is the state budget (-maxstates). It is the zero value
-	// so that legacy literals constructing the space.BudgetError alias
-	// without a Kind keep meaning "state budget exceeded".
+	// KindStates is the state budget (-maxstates). It is the zero value,
+	// so a LimitError literal without a Kind means "state budget
+	// exceeded".
 	KindStates Kind = iota
 	// KindTime is a wall-clock deadline (-timeout).
 	KindTime

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"time"
 
-	"tmcheck/internal/space"
+	"tmcheck/internal/explore"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
@@ -148,7 +148,7 @@ func (s *Spec) Normalize() {
 // refused before any state is constructed. It reports the same errors
 // the CLI flags would.
 func (s Spec) Validate() error {
-	if _, err := space.ParseEngine(engineName(s.Engine)); err != nil {
+	if _, err := explore.ParseEngine(engineName(s.Engine)); err != nil {
 		return err
 	}
 	if s.Threads < 1 || s.Vars < 1 {
@@ -187,8 +187,8 @@ func engineName(e string) string {
 }
 
 // engine parses the spec's engine field (after Normalize).
-func (s Spec) engine() (space.Engine, error) {
-	return space.ParseEngine(engineName(s.Engine))
+func (s Spec) engine() (explore.Engine, error) {
+	return explore.ParseEngine(engineName(s.Engine))
 }
 
 // property maps the spec's Prop key onto the spec-package property.

@@ -14,7 +14,7 @@ import (
 // Limit is the wire-serializable mirror of *guard.LimitError. Err
 // reconstructs a LimitError whose Error() string and errors.Is
 // behavior match the original, so a budget error crossing the wire
-// still satisfies errors.Is(err, space.ErrBudgetExceeded).
+// still satisfies errors.Is(err, guard.ErrStates).
 type Limit struct {
 	// Kind is the guard.Kind that tripped.
 	Kind uint8

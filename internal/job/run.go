@@ -10,7 +10,6 @@ import (
 	"tmcheck/internal/obs"
 	"tmcheck/internal/safety"
 	"tmcheck/internal/snap"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -160,7 +159,7 @@ func system(sp Spec) (tm.Algorithm, tm.ContentionManager, error) {
 	return alg, cm, nil
 }
 
-func runSafety(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
+func runSafety(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
 	alg, cm, err := system(sp)
 	if err != nil {
 		return err
@@ -181,12 +180,12 @@ func runSafety(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 	return nil
 }
 
-func runLiveness(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
+func runLiveness(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
 	alg, cm, err := system(sp)
 	if err != nil {
 		return err
 	}
-	if engine == space.EngineOnTheFly {
+	if engine == explore.EngineOnTheFly {
 		row, err := liveness.CheckAllOnTheFlyOpts(alg, cm, liveness.Options{
 			MaxStates: sp.MaxStates,
 			MaxMem:    sp.MaxMem,
@@ -230,7 +229,7 @@ func runLiveness(ctx context.Context, sp Spec, cfg Config, engine space.Engine, 
 	return nil
 }
 
-func runTable2(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
+func runTable2(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
 	systems := safety.PaperSystems(sp.Threads, sp.Vars)
 	if sp.Ext {
 		for _, name := range []string{"norec", "etl", "2pl-noreadlock", "dstm-novalidate"} {
@@ -256,7 +255,7 @@ func runTable2(ctx context.Context, sp Spec, cfg Config, engine space.Engine, pr
 	return nil
 }
 
-func runTable3(ctx context.Context, sp Spec, cfg Config, engine space.Engine, prov explore.PersistProvider, res *Result) error {
+func runTable3(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
 	systems := liveness.PaperSystems(sp.Threads, sp.Vars)
 	rows := liveness.Table3(systems, liveness.Options{
 		Workers:   sp.Workers,

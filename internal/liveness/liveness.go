@@ -19,7 +19,7 @@
 //     also a wait-freedom violation.
 //
 // Two engines run the same search. The on-the-fly engine (onthefly.go)
-// unfolds the managed TM lazily through internal/space and probes the
+// unfolds the managed TM lazily through explore.ScanLevels and probes the
 // closed prefix for lassos at BFS level barriers, stopping at the first
 // violation; the materialized checks below replay the identical probe
 // schedule over the level prefixes of a built *explore.TS. Because the
@@ -34,7 +34,6 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -104,7 +103,7 @@ type Result struct {
 	// up to the check's total wall-clock.
 	BuildElapsed time.Duration
 	// Engine identifies the pipeline that produced this result.
-	Engine space.Engine
+	Engine explore.Engine
 	// Expanded is the number of states whose successors had been
 	// explored when the verdict was reached — the prefix the violating
 	// probe ran on, or the full state count when the property holds.
@@ -215,7 +214,7 @@ func newResult(ts *explore.TS, p Prop) Result {
 		Vars:     ts.Alg.Vars(),
 		TMStates: ts.NumStates(),
 		Holds:    true,
-		Engine:   space.EngineMaterialized,
+		Engine:   explore.EngineMaterialized,
 	}
 }
 

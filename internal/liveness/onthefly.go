@@ -10,7 +10,6 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -77,9 +76,9 @@ type Options struct {
 	// Engine selects Table3's engine; the zero value is
 	// EngineMaterialized. CheckOnTheFlyOpts and CheckAllOnTheFlyOpts
 	// name their engine and ignore it.
-	Engine space.Engine
+	Engine explore.Engine
 	// MaxStates bounds the states interned; <= 0 means unbounded. A
-	// blown budget fails the check with a *space.BudgetError.
+	// blown budget fails the check with a *guard.LimitError.
 	MaxStates int
 	// MaxMem is the heap cap in bytes; 0 means uncapped.
 	MaxMem uint64
@@ -208,7 +207,7 @@ func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, g *guard
 			results[i] = Result{
 				System: name, Prop: p, Threads: threads, Vars: alg.Vars(),
 				TMStates: interned, Holds: false, Stem: stem, Loop: loop,
-				Elapsed: time.Since(start), Engine: space.EngineOnTheFly,
+				Elapsed: time.Since(start), Engine: explore.EngineOnTheFly,
 				Expanded: expanded, Probes: probes,
 			}
 			if events {
@@ -240,7 +239,7 @@ func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, g *guard
 			results[i] = Result{
 				System: name, Prop: p, Threads: threads, Vars: alg.Vars(),
 				TMStates: finalStates,
-				Elapsed:  time.Since(start), Engine: space.EngineOnTheFly,
+				Elapsed:  time.Since(start), Engine: explore.EngineOnTheFly,
 				Expanded: lastProbed, Probes: probes, Limit: le,
 			}
 		}
@@ -257,7 +256,7 @@ func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, g *guard
 		results[i] = Result{
 			System: name, Prop: p, Threads: threads, Vars: alg.Vars(),
 			TMStates: finalStates, Holds: true,
-			Elapsed: time.Since(start), Engine: space.EngineOnTheFly,
+			Elapsed: time.Since(start), Engine: explore.EngineOnTheFly,
 			Expanded: finalStates, Probes: probes,
 		}
 	}

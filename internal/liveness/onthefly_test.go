@@ -7,7 +7,6 @@ import (
 
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
-	"tmcheck/internal/space"
 )
 
 // TestLivenessEngineAgreement is the cross-engine contract of the
@@ -37,7 +36,7 @@ func TestLivenessEngineAgreement(t *testing.T) {
 			if otf.Expanded != mat.Expanded {
 				t.Errorf("%s %s: expanded = %d, materialized %d", name, p.Key(), otf.Expanded, mat.Expanded)
 			}
-			if otf.Engine != space.EngineOnTheFly || mat.Engine != space.EngineMaterialized {
+			if otf.Engine != explore.EngineOnTheFly || mat.Engine != explore.EngineMaterialized {
 				t.Errorf("%s %s: engines mislabeled (%v, %v)", name, p.Key(), otf.Engine, mat.Engine)
 			}
 		}
@@ -78,22 +77,22 @@ func TestCheckAllOnTheFlySharesExploration(t *testing.T) {
 }
 
 // TestLivenessBudgetBothEngines drives both engines into a tiny state
-// budget: the typed *space.BudgetError must surface through errors.Is
+// budget: the typed *guard.LimitError must surface through errors.Is
 // before any probe can run (budget is checked ahead of the barrier
 // hook). A larger budget must then trip at the same state count at
 // every worker count.
 func TestLivenessBudgetBothEngines(t *testing.T) {
 	sys := PaperSystems(2, 1)[2] // dstm+aggressive
-	if _, err := checkLazy(sys.Alg, sys.CM, Props, guard.New(nil, 2, 0), false); !errors.Is(err, space.ErrBudgetExceeded) {
+	if _, err := checkLazy(sys.Alg, sys.CM, Props, guard.New(nil, 2, 0), false); !errors.Is(err, guard.ErrStates) {
 		t.Errorf("onthefly: err = %v, want budget error", err)
 	}
-	if _, err := explore.BuildGuarded(sys.Alg, sys.CM, guard.New(nil, 2, 0), nil); !errors.Is(err, space.ErrBudgetExceeded) {
+	if _, err := explore.BuildGuarded(sys.Alg, sys.CM, guard.New(nil, 2, 0), nil); !errors.Is(err, guard.ErrStates) {
 		t.Errorf("materialized: err = %v, want budget error", err)
 	}
-	var be *space.BudgetError
+	var be *guard.LimitError
 	_, err := CheckOnTheFlyOpts(sys.Alg, sys.CM, LivelockFreedom, Options{Workers: 1, MaxStates: 2})
 	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *space.BudgetError", err)
+		t.Fatalf("err = %v, want *guard.LimitError", err)
 	}
 	if be.Budget != 2 || be.Visited <= 2 {
 		t.Errorf("budget error = %+v, want Budget 2 and Visited > 2", be)
@@ -126,8 +125,8 @@ func TestLivenessBudgetBothEngines(t *testing.T) {
 // engines of the unbudgeted driver.
 func TestTable3EnginesAgree(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	otf := Table3(systems, Options{Engine: space.EngineOnTheFly})
-	mat := Table3(systems, Options{Engine: space.EngineMaterialized})
+	otf := Table3(systems, Options{Engine: explore.EngineOnTheFly})
+	mat := Table3(systems, Options{Engine: explore.EngineMaterialized})
 	if len(otf) != len(mat) {
 		t.Fatalf("row counts differ: %d vs %d", len(otf), len(mat))
 	}

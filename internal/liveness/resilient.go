@@ -8,7 +8,6 @@ import (
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
 	"tmcheck/internal/parbfs"
-	"tmcheck/internal/space"
 )
 
 // Table3 reproduces the paper's Table 3 on the given systems with the
@@ -31,7 +30,7 @@ func Table3(systems []System, opts Options) []Table3Row {
 	if workers > 1 && len(systems) > 1 {
 		if phase {
 			name := "liveness:table3-onthefly-parallel"
-			if opts.Engine == space.EngineMaterialized {
+			if opts.Engine == explore.EngineMaterialized {
 				name = "liveness:table3-parallel"
 			}
 			done := obs.Phase(name)
@@ -49,11 +48,11 @@ func Table3(systems []System, opts Options) []Table3Row {
 // table3Row runs one guarded row with the engine opts.Engine selects.
 func table3Row(sys System, phase bool, opts Options) Table3Row {
 	g := opts.guard()
-	if opts.Engine == space.EngineOnTheFly {
+	if opts.Engine == explore.EngineOnTheFly {
 		res, err := checkLazy(sys.Alg, sys.CM, Props, g, phase)
 		if err != nil && len(res) != 3 {
 			// No partials to keep (a non-limit error): every cell limited.
-			return limitedRow(sys, space.EngineOnTheFly, 0, err)
+			return limitedRow(sys, explore.EngineOnTheFly, 0, err)
 		}
 		row := Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]}
 		recordDriverRow3(row)
@@ -63,7 +62,7 @@ func table3Row(sys System, phase bool, opts Options) Table3Row {
 	ts, err := explore.BuildGuarded(sys.Alg, sys.CM, g, opts.Persist)
 	buildElapsed := time.Since(buildStart)
 	if err != nil {
-		row := limitedRow(sys, space.EngineMaterialized, buildElapsed, err)
+		row := limitedRow(sys, explore.EngineMaterialized, buildElapsed, err)
 		recordDriverRow3(row)
 		return row
 	}
@@ -79,7 +78,7 @@ func table3Row(sys System, phase bool, opts Options) Table3Row {
 }
 
 // limitedRow marks all three properties of one system limited.
-func limitedRow(sys System, engine space.Engine, elapsed time.Duration, err error) Table3Row {
+func limitedRow(sys System, engine explore.Engine, elapsed time.Duration, err error) Table3Row {
 	var le *guard.LimitError
 	if !errors.As(err, &le) {
 		le = &guard.LimitError{Kind: guard.KindPanic, Value: err}

@@ -11,7 +11,6 @@ import (
 	"tmcheck/internal/core"
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -43,8 +42,8 @@ func cells(row Table3Row) []Result {
 // the full system size.
 func TestTable3ResilientMatchesFailFast(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	otf := Table3(systems, Options{Engine: space.EngineOnTheFly})
-	mat := Table3(systems, Options{Engine: space.EngineMaterialized})
+	otf := Table3(systems, Options{Engine: explore.EngineOnTheFly})
+	mat := Table3(systems, Options{Engine: explore.EngineMaterialized})
 	if len(otf) != len(systems) || len(mat) != len(systems) {
 		t.Fatalf("%d on-the-fly and %d materialized rows, want %d", len(otf), len(mat), len(systems))
 	}
@@ -73,7 +72,7 @@ func TestTable3ResilientMatchesFailFast(t *testing.T) {
 // engine, violations the probes found before the stop keep their full
 // Results (partial rows, the heart of keep-going liveness).
 func TestTable3ResilientKeepsGoing(t *testing.T) {
-	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
+	for _, engine := range []explore.Engine{explore.EngineOnTheFly, explore.EngineMaterialized} {
 		rows := Table3(PaperSystems(2, 1), Options{MaxStates: 50, Engine: engine})
 		if len(rows) != 4 {
 			t.Fatalf("engine %v: %d rows, want 4", engine, len(rows))
@@ -99,7 +98,7 @@ func TestTable3ResilientKeepsGoing(t *testing.T) {
 	// the 50-state budget before obstruction freedom's fixpoint, but its
 	// livelock violation is found by an earlier probe and must survive
 	// with its loop word.
-	rows := Table3(PaperSystems(2, 1), Options{MaxStates: 50, Engine: space.EngineOnTheFly})
+	rows := Table3(PaperSystems(2, 1), Options{MaxStates: 50, Engine: explore.EngineOnTheFly})
 	dstm := rows[2]
 	if dstm.Obstruction.Limit == nil {
 		t.Fatalf("dstm obstruction = %+v, want limited", dstm.Obstruction)
@@ -129,7 +128,7 @@ func TestTable3ResilientIsolatesPanicTM(t *testing.T) {
 		t.Fatal(err)
 	}
 	systems := []System{{Alg: tm.NewSeq(2, 1)}, {Alg: broken, CM: tm.Aggressive{}}}
-	for _, engine := range []space.Engine{space.EngineOnTheFly, space.EngineMaterialized} {
+	for _, engine := range []explore.Engine{explore.EngineOnTheFly, explore.EngineMaterialized} {
 		rows := Table3(systems, Options{Engine: engine})
 		if len(rows) != 2 {
 			t.Fatalf("engine %v: %d rows, want 2", engine, len(rows))

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"tmcheck/internal/space"
+	"tmcheck/internal/explore"
 )
 
 // TestTable3ParallelMatchesSequential checks the materialized Table 3
@@ -12,8 +12,8 @@ import (
 // fanned out over four workers against one worker.
 func TestTable3ParallelMatchesSequential(t *testing.T) {
 	systems := PaperSystems(2, 1)
-	seq := Table3(systems, Options{Workers: 1, Engine: space.EngineMaterialized})
-	par := Table3(systems, Options{Workers: 4, Engine: space.EngineMaterialized})
+	seq := Table3(systems, Options{Workers: 1, Engine: explore.EngineMaterialized})
+	par := Table3(systems, Options{Workers: 4, Engine: explore.EngineMaterialized})
 	if len(par) != len(seq) {
 		t.Fatalf("row count: parallel %d, sequential %d", len(par), len(seq))
 	}

@@ -25,7 +25,7 @@ func TestEventSinkDisabledZeroAlloc(t *testing.T) {
 		t.Fatal("process-wide bus unexpectedly enabled in tests")
 	}
 	allocs = testing.AllocsPerRun(1000, func() {
-		Emit(Event{Kind: EvProgress, Name: "space.scan", States: 99})
+		Emit(Event{Kind: EvProgress, Name: "spec.enumerate", States: 99})
 	})
 	if allocs != 0 {
 		t.Errorf("disabled package Emit allocates %.1f/op, want 0", allocs)

@@ -41,7 +41,7 @@ func TestTraceWriterProducesLoadableJSON(t *testing.T) {
 	bus.Emit(Event{Kind: EvViolation, Name: "otf:dstm:op", Detail: "cex", TimeNS: base + 5*ms})
 	bus.Emit(Event{Kind: EvCheckDone, Name: "otf:dstm:op", Detail: "UNSAFE", States: 40,
 		DurNS: 3 * ms, TimeNS: base + 5*ms})
-	bus.Emit(Event{Kind: EvProgress, Name: "space.scan", States: 123, TimeNS: base + 6*ms})
+	bus.Emit(Event{Kind: EvProgress, Name: "spec.enumerate", States: 123, TimeNS: base + 6*ms})
 	bus.Emit(Event{Kind: EvLimitHit, Detail: "states: budget", States: 40, TimeNS: base + 6*ms})
 	bus.Emit(Event{Kind: EvPhaseEnd, Name: "table2", DurNS: 6 * ms, TimeNS: base + 7*ms})
 	bus.Emit(Event{Kind: EvRunDone, Name: "table2", TimeNS: base + 7*ms})

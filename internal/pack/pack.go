@@ -96,26 +96,27 @@ func Hash(key []uint64) uint64 {
 // must not be used afterwards.
 type GrowFunc func(need int, cur []uint64) []uint64
 
-// Map is an open-addressing hash table from fixed-width keys to int32
-// values, preserving insertion order: KeyAt/ValAt index entries
-// densely in first-Put order. Key storage is one flat []uint64 at
-// stride kw — no per-entry allocation, no interface boxing.
+// Map interns fixed-width keys: an open-addressing hash table that
+// numbers each distinct key densely in first-sight order, so KeyAt(id)
+// inverts Intern. Key storage is one flat []uint64 at stride kw — no
+// per-entry allocation, no interface boxing — and a slot holds its
+// entry's id, so there is no value array.
 //
 // The zero Map is not ready; use NewMap. Map is not safe for
 // concurrent use; callers lock.
 type Map struct {
 	kw       int
+	n        int32 // entries
 	mask     uint64
-	slots    []int32 // entry index + 1; 0 = empty
+	slots    []int32 // entry id + 1; 0 = empty
 	keys     []uint64
-	vals     []int32
 	growKeys GrowFunc // nil: plain append growth
 }
 
 // SetKeyBacking installs a custom allocator for the flat key storage.
 // All subsequent key-array growth goes through grow instead of append's
 // heap doubling; existing keys migrate on the first growth. The slot
-// and value arrays (4 bytes per entry each) stay on the heap.
+// array (4 bytes per slot) stays on the heap.
 func (m *Map) SetKeyBacking(grow GrowFunc) { m.growKeys = grow }
 
 // appendKey appends one key to the dense storage, honoring the custom
@@ -142,25 +143,16 @@ func NewMap(kw, hint int) *Map {
 	return &Map{kw: kw, mask: n - 1, slots: make([]int32, n)}
 }
 
-// Words returns the key width in words.
-func (m *Map) Words() int { return m.kw }
-
 // Len returns the number of entries.
-func (m *Map) Len() int { return len(m.vals) }
+func (m *Map) Len() int { return int(m.n) }
 
-// KeyAt returns the i-th inserted key, aliasing the map's storage; the
-// caller must not modify it and must copy it before the next Put (a
+// KeyAt returns the key with id i, aliasing the map's storage; the
+// caller must not modify it and must copy it before the next Intern (a
 // grow may move the backing array).
 func (m *Map) KeyAt(i int32) []uint64 {
 	off := int(i) * m.kw
 	return m.keys[off : off+m.kw : off+m.kw]
 }
-
-// ValAt returns the i-th inserted value.
-func (m *Map) ValAt(i int32) int32 { return m.vals[i] }
-
-// SetValAt overwrites the i-th inserted value.
-func (m *Map) SetValAt(i, v int32) { m.vals[i] = v }
 
 func (m *Map) equalAt(e int32, key []uint64) bool {
 	off := int(e) * m.kw
@@ -172,7 +164,7 @@ func (m *Map) equalAt(e int32, key []uint64) bool {
 	return true
 }
 
-// Get returns the value stored for key.
+// Get returns the id of key, if it is interned.
 func (m *Map) Get(key []uint64) (int32, bool) {
 	i := Hash(key) & m.mask
 	for {
@@ -181,15 +173,16 @@ func (m *Map) Get(key []uint64) (int32, bool) {
 			return 0, false
 		}
 		if m.equalAt(s-1, key) {
-			return m.vals[s-1], true
+			return s - 1, true
 		}
 		i = (i + 1) & m.mask
 	}
 }
 
-// GetOrPut returns the existing value for key, or inserts val and
-// reports the insertion. The key is copied into the map's storage.
-func (m *Map) GetOrPut(key []uint64, val int32) (int32, bool) {
+// Intern returns the dense id of key, assigning the next one
+// (== Len() before the call) on first sight and copying the key into
+// the map's storage.
+func (m *Map) Intern(key []uint64) (id int32, fresh bool) {
 	i := Hash(key) & m.mask
 	for {
 		s := m.slots[i]
@@ -197,76 +190,33 @@ func (m *Map) GetOrPut(key []uint64, val int32) (int32, bool) {
 			break
 		}
 		if m.equalAt(s-1, key) {
-			return m.vals[s-1], false
+			return s - 1, false
 		}
 		i = (i + 1) & m.mask
 	}
-	e := int32(len(m.vals))
+	id = m.n
 	m.appendKey(key)
-	m.vals = append(m.vals, val)
-	m.slots[i] = e + 1
-	if uint64(len(m.vals))*4 > (m.mask+1)*3 {
+	m.n++
+	m.slots[i] = m.n
+	if uint64(m.n)*4 > (m.mask+1)*3 {
 		m.grow()
 	}
-	return val, true
+	return id, true
 }
 
-// Put inserts or overwrites the value for key.
-func (m *Map) Put(key []uint64, val int32) {
-	i := Hash(key) & m.mask
-	for {
-		s := m.slots[i]
-		if s == 0 {
-			break
-		}
-		if m.equalAt(s-1, key) {
-			m.vals[s-1] = val
-			return
-		}
-		i = (i + 1) & m.mask
-	}
-	e := int32(len(m.vals))
-	m.appendKey(key)
-	m.vals = append(m.vals, val)
-	m.slots[i] = e + 1
-	if uint64(len(m.vals))*4 > (m.mask+1)*3 {
-		m.grow()
-	}
-}
-
-// grow doubles the slot array and rehashes every entry (the dense
-// key/value storage is untouched).
+// grow doubles the slot array and rehashes every entry (the dense key
+// storage is untouched).
 func (m *Map) grow() {
 	n := (m.mask + 1) << 1
 	m.mask = n - 1
-	if uint64(cap(m.slots)) >= n {
-		m.slots = m.slots[:n]
-		clear(m.slots)
-	} else {
-		m.slots = make([]int32, n)
-	}
-	for e := int32(0); int(e) < len(m.vals); e++ {
+	m.slots = make([]int32, n)
+	for e := int32(0); e < m.n; e++ {
 		i := Hash(m.KeyAt(e)) & m.mask
 		for m.slots[i] != 0 {
 			i = (i + 1) & m.mask
 		}
 		m.slots[i] = e + 1
 	}
-}
-
-// Reset empties the map keeping all capacity, so per-level candidate
-// tables are reused allocation-free across BFS levels.
-func (m *Map) Reset() {
-	clear(m.slots)
-	m.keys = m.keys[:0]
-	m.vals = m.vals[:0]
-}
-
-// Intern returns the dense id of key, assigning the next one
-// (== Len() before the call) on first sight — the open-addressing
-// replacement for the interning maps of the state-space engines.
-func (m *Map) Intern(key []uint64) (id int32, fresh bool) {
-	return m.GetOrPut(key, int32(len(m.vals)))
 }
 
 // WordsFor returns the number of 64-bit words needed for a key of the

@@ -103,46 +103,6 @@ func TestMapInternDenseIDs(t *testing.T) {
 	}
 }
 
-func TestMapPutOverwriteAndReset(t *testing.T) {
-	m := NewMap(2, 4)
-	k1 := []uint64{1, 2}
-	k2 := []uint64{3, 4}
-	m.Put(k1, 10)
-	m.Put(k2, 20)
-	m.Put(k1, 11)
-	if v, ok := m.Get(k1); !ok || v != 11 {
-		t.Fatalf("overwrite: got (%d,%v)", v, ok)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
-	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Fatalf("after Reset: Len = %d", m.Len())
-	}
-	if _, ok := m.Get(k1); ok {
-		t.Fatal("after Reset: stale key still present")
-	}
-	m.Put(k1, 7)
-	if v, ok := m.Get(k1); !ok || v != 7 {
-		t.Fatalf("reuse after Reset: got (%d,%v)", v, ok)
-	}
-}
-
-func TestGetOrPutMinUpdatePattern(t *testing.T) {
-	// GetOrPut inserts on first sight and reports the stored value on
-	// every later hit, without overwriting it.
-	m := NewMap(1, 0)
-	idx, fresh := m.GetOrPut([]uint64{42}, int32(m.Len()))
-	if !fresh || idx != 0 {
-		t.Fatalf("first GetOrPut: (%d,%v)", idx, fresh)
-	}
-	idx2, fresh2 := m.GetOrPut([]uint64{42}, int32(m.Len()))
-	if fresh2 || idx2 != 0 {
-		t.Fatalf("second GetOrPut: (%d,%v)", idx2, fresh2)
-	}
-}
-
 func TestBitsForWordsFor(t *testing.T) {
 	cases := []struct{ n, want int }{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {16, 4}, {17, 5}}
 	for _, c := range cases {
@@ -158,7 +118,9 @@ func TestBitsForWordsFor(t *testing.T) {
 func TestMapGrowKeepsEntries(t *testing.T) {
 	m := NewMap(1, 0)
 	for i := 0; i < 10000; i++ {
-		m.Put([]uint64{uint64(i)}, int32(i))
+		if id, fresh := m.Intern([]uint64{uint64(i)}); !fresh || id != int32(i) {
+			t.Fatalf("Intern(%d) = (%d,%v)", i, id, fresh)
+		}
 	}
 	for i := 0; i < 10000; i++ {
 		if v, ok := m.Get([]uint64{uint64(i)}); !ok || v != int32(i) {

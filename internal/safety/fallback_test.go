@@ -16,7 +16,7 @@ import (
 // algorithm (which would otherwise leak into repeated -count runs).
 var registryAlgorithms = tm.AlgorithmNames()
 
-// TestOnTheFlyFallbackMatchesPacked pins the boxed fallback of the
+// TestOnTheFlyFallbackMatchesPacked pins the boxed core of the
 // on-the-fly engine and its worker-count invariance: a product the
 // packed core rejects — modeled by tm.Opaque/tm.OpaqueCM, which strip
 // the typed extension — must give the same Result as the packed path

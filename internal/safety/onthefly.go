@@ -14,13 +14,12 @@ import (
 	"tmcheck/internal/obs"
 	"tmcheck/internal/pack"
 	"tmcheck/internal/parbfs"
-	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
 
 // Engine selects how an inclusion check is executed. The type lives in
-// internal/space (it is shared with the liveness checker); the aliases
+// internal/explore (it is shared with the liveness checker); the aliases
 // here keep the original safety API intact. For safety the engines are:
 //
 //   - EngineMaterialized: explore the full TM system, enumerate the
@@ -31,11 +30,11 @@ import (
 //     stepping — the product BFS constructs TM and spec states only as
 //     the product reaches them and stops at the first violation. It is
 //     the default engine of cmd/tmcheck.
-type Engine = space.Engine
+type Engine = explore.Engine
 
 const (
-	EngineMaterialized = space.EngineMaterialized
-	EngineOnTheFly     = space.EngineOnTheFly
+	EngineMaterialized = explore.EngineMaterialized
+	EngineOnTheFly     = explore.EngineOnTheFly
 )
 
 // Options configures VerifyOpts and Table2.
@@ -80,7 +79,7 @@ func (opts Options) guard() *guard.Guard {
 // of states constructed — TM
 // states + spec states + product pairs for the on-the-fly engine; TM
 // states, then the full spec DFA, then inclusion pairs cumulatively for
-// the materialized one — and the check stops with a *space.BudgetError
+// the materialized one — and the check stops with a *guard.LimitError
 // instead of exhausting memory. Both engines check the budget per
 // state or product pair and trip it at the same state count at every
 // worker count.
@@ -149,7 +148,7 @@ func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Pro
 	remaining := 0
 	if maxStates > 0 {
 		if remaining = maxStates - ts.NumStates(); remaining < 1 {
-			return Result{}, &space.BudgetError{Budget: maxStates, Visited: ts.NumStates() + 1}
+			return Result{}, &guard.LimitError{Budget: maxStates, Visited: ts.NumStates() + 1}
 		}
 	}
 	det := spec.NewDet(prop, alg.Threads(), alg.Vars())
@@ -162,7 +161,7 @@ func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Pro
 
 	if maxStates > 0 {
 		if remaining = maxStates - ts.NumStates() - dfa.NumStates(); remaining < 1 {
-			return Result{}, &space.BudgetError{Budget: maxStates, Visited: ts.NumStates() + dfa.NumStates() + 1}
+			return Result{}, &guard.LimitError{Budget: maxStates, Visited: ts.NumStates() + dfa.NumStates() + 1}
 		}
 	}
 	done := func() {}
@@ -380,7 +379,7 @@ func searchProduct(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 				continue
 			}
 			d2 := p.lz.Step(sp, int(e.Emit))
-			if d2 == space.None {
+			if d2 == spec.None {
 				return result(false, p.word(qi, e.Emit), peak)
 			}
 			p.push(e.To, d2, qi, e.Emit)

@@ -9,7 +9,6 @@ import (
 
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/space"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
 )
@@ -94,7 +93,7 @@ func TestOnTheFlySmoke(t *testing.T) {
 }
 
 // TestBudgetExceeded checks the -maxstates contract on both engines at
-// several worker counts: a tiny budget yields a typed *space.BudgetError
+// several worker counts: a tiny budget yields a typed *guard.LimitError
 // carrying the states-visited count, not a crash or a bogus verdict, and
 // a budget trips at the same state count at every worker count.
 func TestBudgetExceeded(t *testing.T) {
@@ -106,12 +105,12 @@ func TestBudgetExceeded(t *testing.T) {
 			if err == nil {
 				t.Fatalf("%s: no error under a 50-state budget", label)
 			}
-			if !errors.Is(err, space.ErrBudgetExceeded) {
-				t.Fatalf("%s: error %v is not ErrBudgetExceeded", label, err)
+			if !errors.Is(err, guard.ErrStates) {
+				t.Fatalf("%s: error %v is not guard.ErrStates", label, err)
 			}
-			var be *space.BudgetError
+			var be *guard.LimitError
 			if !errors.As(err, &be) {
-				t.Fatalf("%s: error %v is not a *BudgetError", label, err)
+				t.Fatalf("%s: error %v is not a *guard.LimitError", label, err)
 			}
 			if be.Budget != 50 || be.Visited <= 50 {
 				t.Errorf("%s: budget error reports budget=%d visited=%d", label, be.Budget, be.Visited)
@@ -236,8 +235,8 @@ func TestOnTheFlyBudgetHeadroom(t *testing.T) {
 		t.Fatalf("modtl2+polite verdict flipped under budget: %+v", res)
 	}
 	_, err = VerifyOpts(sys.Alg, sys.CM, prop, Options{Workers: 1, MaxStates: budget, Engine: EngineMaterialized})
-	if !errors.Is(err, space.ErrBudgetExceeded) {
-		t.Fatalf("materialized engine fit budget %d; want ErrBudgetExceeded, got %v", budget, err)
+	if !errors.Is(err, guard.ErrStates) {
+		t.Fatalf("materialized engine fit budget %d; want guard.ErrStates, got %v", budget, err)
 	}
 }
 
@@ -268,8 +267,8 @@ func TestOnTheFlyBudgetHeadroom23(t *testing.T) {
 		t.Fatal("verdict flipped under budget")
 	}
 	_, err = VerifyOpts(sys.Alg, sys.CM, prop, Options{Workers: 1, MaxStates: budget, Engine: EngineMaterialized})
-	if !errors.Is(err, space.ErrBudgetExceeded) {
-		t.Fatalf("materialized engine fit budget %d; want ErrBudgetExceeded, got %v", budget, err)
+	if !errors.Is(err, guard.ErrStates) {
+		t.Fatalf("materialized engine fit budget %d; want guard.ErrStates, got %v", budget, err)
 	}
 }
 

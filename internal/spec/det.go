@@ -8,7 +8,6 @@ import (
 	"tmcheck/internal/core"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/space"
 	"tmcheck/internal/tm"
 )
 
@@ -371,16 +370,39 @@ func (sp *Det) EnumerateGuarded(g *guard.Guard) (dfa *automata.DFA, err error) {
 	return dfa, nil
 }
 
-// enumerate is the scan-order enumeration: a Scan of the lazy view to
-// its fixpoint, materializing each defined transition into the DFA. The
-// numbering is first-sight scan order.
+// enumerateProgressEvery is the heartbeat granularity of the
+// enumeration on the telemetry bus: one EvProgress per this many
+// expanded states.
+const enumerateProgressEvery = 8192
+
+// enumerate is the scan-order enumeration: the lazy view's states are
+// expanded in id order to the fixpoint, each defined transition
+// materialized into the DFA, so the numbering is first-sight scan
+// order. The guard is consulted once per expanded state.
 func (sp *Det) enumerate(dfa *automata.DFA, g *guard.Guard) error {
 	lz := NewLazy(sp)
-	_, err := space.Scan(lz, g, func(from space.State, l space.Letter, to space.State) {
-		for dfa.NumStates() <= int(to) {
-			dfa.AddState() // state 0 is pre-allocated by NewDFA
+	active, events := g.Active(), obs.EventsEnabled()
+	for from := int32(0); int(from) < lz.NumStates(); from++ {
+		if active {
+			if err := g.Check(lz.NumStates()); err != nil {
+				return err
+			}
 		}
-		dfa.SetEdge(int(from), int(l), int(to))
-	})
-	return err
+		if events && from > 0 && from%enumerateProgressEvery == 0 {
+			obs.Emit(obs.Event{
+				Kind: obs.EvProgress, Name: "spec.enumerate",
+				States: int64(lz.NumStates()), Frontier: int64(lz.NumStates() - int(from)),
+				HeapBytes: obs.SampledHeap(),
+			})
+		}
+		for l := range lz.ab.Size() {
+			if to := lz.Step(from, l); to != None {
+				for dfa.NumStates() <= int(to) {
+					dfa.AddState() // state 0 is pre-allocated by NewDFA
+				}
+				dfa.SetEdge(int(from), l, int(to))
+			}
+		}
+	}
+	return nil
 }

@@ -10,8 +10,8 @@ import (
 // zero-allocation state-space core: an algorithm whose concrete state
 // type S is known supplies yield-style steppers (no []Step slices, no
 // interface boxing) and a bit-packed fixed-width encoding of S. The
-// explorer dispatches on this interface and falls back to the generic
-// boxed path for registry TMs that don't implement it.
+// explorer dispatches on this interface and runs registry TMs that
+// don't implement it on its boxed core.
 //
 // Contract: the typed methods must agree exactly — same transitions in
 // the same order — with the untyped Algorithm methods. The built-in
@@ -20,8 +20,8 @@ import (
 // a single copy of each algorithm's logic. Each Steps spells out the
 // collect-into-a-slice adapter inline (rather than through a shared
 // generic helper) so the yield closure is passed to a known concrete
-// method and stays stack-allocated — the boxed path is still the
-// on-the-fly engines' hot loop.
+// method and stays stack-allocated — the boxed core and the restricted
+// explorer step through Steps.
 //
 // PackedFor returns the Name() of the algorithm the typed methods
 // implement. It guards against Go's method promotion: a wrapper that
@@ -193,8 +193,8 @@ func (timidPacked) DecodeCM(p uint64) State {
 type opaqueAlg struct{ Algorithm }
 
 // Opaque returns alg stripped to the plain Algorithm interface: the
-// packed dispatch will not match it, forcing the generic boxed
-// exploration path with identical semantics.
+// packed dispatch will not match it, forcing the explorer's boxed core
+// with identical semantics.
 func Opaque(alg Algorithm) Algorithm { return opaqueAlg{alg} }
 
 // opaqueCM hides everything but the ContentionManager interface.
