@@ -297,7 +297,7 @@ func IncludedInDFADenseGuarded(a *DenseNFA, d *DFA, g *guard.Guard) (ok bool, ce
 		for _, n2 := range a.epsTo[a.epsOff[n]:a.epsOff[n+1]] {
 			push(int64(n2)*width+dd, int32(qi), -1)
 		}
-		row := d.trans[dd]
+		row := d.row(int(dd))
 		end := a.letOff[n+1]
 		for i := a.letOff[n]; i < end; {
 			l := a.lets[i]

@@ -8,7 +8,7 @@ import "fmt"
 type DFA struct {
 	alphabet int
 	initial  int
-	trans    [][]int32 // trans[s][l] = successor, or -1
+	trans    []int32 // trans[s*alphabet+l] = successor, or -1
 }
 
 // NewDFA returns a DFA over an alphabet of the given size with a single
@@ -19,11 +19,25 @@ func NewDFA(alphabet int) *DFA {
 	return d
 }
 
+// NewDFATable returns the DFA with initial state 0 whose transition
+// table is trans: one row of alphabet cells per state, each cell a
+// successor or -1. The DFA takes trans over; the caller must not modify
+// it afterwards.
+func NewDFATable(alphabet int, trans []int32) *DFA {
+	if alphabet < 1 || len(trans) == 0 || len(trans)%alphabet != 0 {
+		panic(fmt.Sprintf("automata: %d table cells are not whole rows of %d", len(trans), alphabet))
+	}
+	return &DFA{alphabet: alphabet, trans: trans}
+}
+
 // Alphabet returns the alphabet size.
 func (d *DFA) Alphabet() int { return d.alphabet }
 
 // NumStates returns the number of allocated states.
-func (d *DFA) NumStates() int { return len(d.trans) }
+func (d *DFA) NumStates() int { return len(d.trans) / d.alphabet }
+
+// row returns the transition row of state s.
+func (d *DFA) row(s int) []int32 { return d.trans[s*d.alphabet : (s+1)*d.alphabet] }
 
 // Initial returns the initial state.
 func (d *DFA) Initial() int { return d.initial }
@@ -33,12 +47,10 @@ func (d *DFA) SetInitial(s int) { d.initial = s }
 
 // AddState allocates a fresh state with no outgoing transitions.
 func (d *DFA) AddState() int {
-	row := make([]int32, d.alphabet)
-	for i := range row {
-		row[i] = -1
+	for range d.alphabet {
+		d.trans = append(d.trans, -1)
 	}
-	d.trans = append(d.trans, row)
-	return len(d.trans) - 1
+	return d.NumStates() - 1
 }
 
 // SetEdge defines the transition from --letter--> to, replacing any
@@ -47,17 +59,17 @@ func (d *DFA) SetEdge(from, letter, to int) {
 	if letter < 0 || letter >= d.alphabet {
 		panic(fmt.Sprintf("automata: letter %d out of range [0,%d)", letter, d.alphabet))
 	}
-	d.trans[from][letter] = int32(to)
+	d.row(from)[letter] = int32(to)
 }
 
 // Succ returns the successor of s on letter l, or -1 when undefined.
-func (d *DFA) Succ(s, l int) int { return int(d.trans[s][l]) }
+func (d *DFA) Succ(s, l int) int { return int(d.row(s)[l]) }
 
 // Accepts reports whether the word stays on defined transitions.
 func (d *DFA) Accepts(word []int) bool {
 	s := d.initial
 	for _, l := range word {
-		s = int(d.trans[s][l])
+		s = int(d.row(s)[l])
 		if s < 0 {
 			return false
 		}
@@ -72,8 +84,8 @@ func (d *DFA) ToNFA() *NFA {
 		a.AddState()
 	}
 	a.SetInitial(d.initial)
-	for s := range d.trans {
-		for l, t := range d.trans[s] {
+	for s := range d.NumStates() {
+		for l, t := range d.row(s) {
 			if t >= 0 {
 				a.AddEdge(s, l, int(t))
 			}
@@ -94,7 +106,7 @@ func (d *DFA) Trim() *DFA {
 	for i := 0; i < len(order); i++ {
 		s := order[i]
 		for l := 0; l < d.alphabet; l++ {
-			t := d.trans[s][l]
+			t := d.row(s)[l]
 			if t >= 0 && id[t] < 0 {
 				id[t] = int32(len(order))
 				order = append(order, int(t))
@@ -107,7 +119,7 @@ func (d *DFA) Trim() *DFA {
 	}
 	for ni, s := range order {
 		for l := 0; l < d.alphabet; l++ {
-			if t := d.trans[s][l]; t >= 0 {
+			if t := d.row(s)[l]; t >= 0 {
 				out.SetEdge(ni, l, int(id[t]))
 			}
 		}
@@ -137,7 +149,7 @@ func (d *DFA) Minimize() *DFA {
 			sig = sig[:0]
 			sig = appendInt32(sig, block[s])
 			for l := 0; l < t.alphabet; l++ {
-				succ := t.trans[s][l]
+				succ := t.row(s)[l]
 				if succ >= 0 {
 					sig = appendInt32(sig, block[succ])
 				} else {
@@ -184,7 +196,7 @@ func (d *DFA) Minimize() *DFA {
 	for s := 0; s < n; s++ {
 		from := ren[block[s]]
 		for l := 0; l < t.alphabet; l++ {
-			if succ := t.trans[s][l]; succ >= 0 {
+			if succ := t.row(s)[l]; succ >= 0 {
 				out.SetEdge(int(from), l, int(ren[block[succ]]))
 			}
 		}

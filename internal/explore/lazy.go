@@ -20,9 +20,19 @@ type LazyEdge struct {
 	Emit int16
 }
 
-// noEdges marks a state as expanded with no edge list of its own; nil
-// marks a state not expanded yet.
-var noEdges = []LazyEdge{}
+// An edge word locates one expanded state's edge list in the Lazy's
+// arena: the chunk index plus one in the top 24 bits (0: the state is
+// not expanded yet; 2^24 chunks hold more edges than memory does), then
+// the list's offset in its chunk and its length, 20 bits each. A chunk
+// holds at most max(maxChunk, list length) edges, so the offset fits
+// whenever the length does. A state has about one edge per (thread,
+// command) plus a few aborts — the registry's maximum at (2,3) is 19,
+// for 2 × 7 commands — so the (4,16) bound's 4 × 33 commands stay far
+// below the 20-bit cap.
+const (
+	wordFieldBits = 20
+	wordMaxField  = 1<<wordFieldBits - 1
+)
 
 // Lazy is the lazily expanded TM×CM product the on-the-fly safety search
 // walks. States get dense ids on first sight and are expanded at most
@@ -43,7 +53,7 @@ type Lazy struct {
 	pc      packedIface
 	packed  bool // false: pc is a boxed core, which is never prefetched
 	keys    *pack.Map
-	edges   [][]LazyEdge // per state; nil until expanded
+	words   []uint64 // per state: the edge word, 0 until expanded
 	arena   arena[LazyEdge]
 	scratch []LazyEdge
 	cur     [pack.MaxWords]uint64
@@ -97,17 +107,17 @@ func NewLazy(alg tm.Algorithm, cm tm.ContentionManager) *Lazy {
 	lz.yield = func(next []uint64, e Edge) {
 		lz.scratch = append(lz.scratch, LazyEdge{To: lz.internKey(next), Emit: e.Emit})
 	}
-	lz.edges = append(lz.edges, nil)
+	lz.words = append(lz.words, 0)
 	return lz
 }
 
 // NumStates returns the number of states interned so far.
-func (lz *Lazy) NumStates() int { return len(lz.edges) }
+func (lz *Lazy) NumStates() int { return len(lz.words) }
 
 func (lz *Lazy) internKey(key []uint64) int32 {
 	id, fresh := lz.keys.Intern(key)
 	if fresh {
-		lz.edges = append(lz.edges, nil)
+		lz.words = append(lz.words, 0)
 	}
 	return id
 }
@@ -116,8 +126,8 @@ func (lz *Lazy) internKey(key []uint64) int32 {
 // first request — from a joined prefetch when there is one. The list
 // stays valid for the Lazy's lifetime; callers must not modify it.
 func (lz *Lazy) Edges(id int32) []LazyEdge {
-	if es := lz.edges[id]; es != nil {
-		return es
+	if w := lz.words[id]; w != 0 {
+		return lz.list(w)
 	}
 	lz.scratch = lz.scratch[:0]
 	if int(id) < len(lz.slot) && lz.slot[id] > lz.readyLo && lz.slot[id] <= lz.readyHi {
@@ -142,6 +152,11 @@ func (lz *Lazy) takeAhead(i int32) {
 	}
 }
 
+// list returns the edge list that edge word w locates.
+func (lz *Lazy) list(w uint64) []LazyEdge {
+	return lz.arena.at(int(w>>(2*wordFieldBits))-1, int(w>>wordFieldBits)&wordMaxField, int(w&wordMaxField))
+}
+
 // settle sorts the scratch edges ε-first and then by letter — an
 // insertion sort, stable, as edge lists are a few elements long — and
 // caches them as state id's list.
@@ -154,12 +169,12 @@ func (lz *Lazy) settle(id int32) []LazyEdge {
 		}
 		es[j] = e
 	}
-	placed := lz.arena.place(es)
-	if placed == nil {
-		placed = noEdges
+	if len(es) > wordMaxField {
+		panic(fmt.Sprintf("explore: state %d has %d edges, over the edge word's %d", id, len(es), wordMaxField))
 	}
-	lz.edges[id] = placed
-	return placed
+	chunk, off := lz.arena.put(es)
+	lz.words[id] = uint64(chunk+1)<<(2*wordFieldBits) | uint64(off)<<wordFieldBits | uint64(len(es))
+	return lz.arena.at(chunk, off, len(es))
 }
 
 // Prefetch joins the helpers of the previous call, re-raising a panic
@@ -188,11 +203,11 @@ func (lz *Lazy) Prefetch(ids []int32, workers int) {
 	lz.readyLo, lz.readyHi = lz.readyHi, lz.entries
 
 	b, kw := lz.ahead, lz.pc.keyWords()
-	lz.slot = append(lz.slot, make([]int32, len(lz.edges)-len(lz.slot))...)
+	lz.slot = append(lz.slot, make([]int32, len(lz.words)-len(lz.slot))...)
 	b.in = b.in[:0]
 	for _, id := range ids {
 		// A slot above readyLo is an entry of ready or of this batch.
-		if lz.edges[id] == nil && lz.slot[id] <= lz.readyLo {
+		if lz.words[id] == 0 && lz.slot[id] <= lz.readyLo {
 			lz.entries++
 			lz.slot[id] = lz.entries
 			b.in = append(b.in, lz.keys.KeyAt(id)...)

@@ -304,29 +304,41 @@ func (pc *packedCore[S]) stateAt(key []uint64) prodState {
 // large builds still amortize to a handful of chunks.
 type arena[T any] struct {
 	chunkSize int
-	cur       []T
+	chunks    [][]T // every chunk opened; the last one is being filled
 }
 
 // maxChunk caps the arena chunk growth (edges per chunk).
 const maxChunk = 8192
 
+// put copies es into the current chunk, opening a fresh one when it
+// would not fit, and returns the chunk's index and es's offset in it.
+func (a *arena[T]) put(es []T) (chunk, off int) {
+	chunk = len(a.chunks) - 1
+	if chunk < 0 || len(a.chunks[chunk])+len(es) > cap(a.chunks[chunk]) {
+		size := max(a.chunkSize, len(es))
+		if next := a.chunkSize * 2; next <= maxChunk {
+			a.chunkSize = next
+		}
+		a.chunks = append(a.chunks, make([]T, 0, size))
+		chunk++
+	}
+	off = len(a.chunks[chunk])
+	a.chunks[chunk] = append(a.chunks[chunk], es...)
+	return chunk, off
+}
+
+// at returns the n elements at offset off of chunk.
+func (a *arena[T]) at(chunk, off, n int) []T {
+	return a.chunks[chunk][off : off+n : off+n]
+}
+
+// place is put returning the placed copy (nil for an empty list).
 func (a *arena[T]) place(es []T) []T {
 	if len(es) == 0 {
 		return nil
 	}
-	if len(a.cur)+len(es) > cap(a.cur) {
-		size := a.chunkSize
-		if size < len(es) {
-			size = len(es)
-		}
-		if next := a.chunkSize * 2; next <= maxChunk {
-			a.chunkSize = next
-		}
-		a.cur = make([]T, 0, size)
-	}
-	start := len(a.cur)
-	a.cur = append(a.cur, es...)
-	return a.cur[start:len(a.cur):len(a.cur)]
+	chunk, off := a.put(es)
+	return a.at(chunk, off, len(es))
 }
 
 // packedStates is the scan's state table: keys stay in the scan's

@@ -102,14 +102,22 @@ type GrowFunc func(need int, cur []uint64) []uint64
 // per-entry allocation, no interface boxing — and a slot holds its
 // entry's id, so there is no value array.
 //
+// Append numbers a key the same way but leaves it out of the hash
+// index, for callers that answer membership of such keys themselves
+// (the on-the-fly product's first-partner column): Get and Intern never
+// find an appended key, and only hashed entries count towards the load
+// factor.
+//
 // The zero Map is not ready; use NewMap. Map is not safe for
 // concurrent use; callers lock.
 type Map struct {
 	kw       int
 	n        int32 // entries
+	unhashed int32 // appended entries
 	mask     uint64
 	slots    []int32 // entry id + 1; 0 = empty
 	keys     []uint64
+	appended []uint64 // bitset of appended ids; nil until the first Append
 	growKeys GrowFunc // nil: plain append growth
 }
 
@@ -198,19 +206,44 @@ func (m *Map) Intern(key []uint64) (id int32, fresh bool) {
 	m.appendKey(key)
 	m.n++
 	m.slots[i] = m.n
-	if uint64(m.n)*4 > (m.mask+1)*3 {
+	if uint64(m.n-m.unhashed)*4 > (m.mask+1)*3 {
 		m.grow()
 	}
 	return id, true
 }
 
-// grow doubles the slot array and rehashes every entry (the dense key
-// storage is untouched).
+// Append stores key under the next id (== Len() before the call)
+// without entering it in the hash index, so Get and Intern never find
+// it; KeyAt(id) returns it like any other entry. The caller guarantees
+// the key is not interned already.
+func (m *Map) Append(key []uint64) int32 {
+	id := m.n
+	m.appendKey(key)
+	m.n++
+	m.unhashed++
+	for int(id>>6) >= len(m.appended) {
+		m.appended = append(m.appended, 0)
+	}
+	m.appended[id>>6] |= 1 << (id & 63)
+	return id
+}
+
+// isAppended reports whether entry e was stored by Append.
+func (m *Map) isAppended(e int32) bool {
+	w := int(e >> 6)
+	return w < len(m.appended) && m.appended[w]&(1<<(e&63)) != 0
+}
+
+// grow doubles the slot array and rehashes every hashed entry in id
+// order (the dense key storage is untouched).
 func (m *Map) grow() {
 	n := (m.mask + 1) << 1
 	m.mask = n - 1
 	m.slots = make([]int32, n)
 	for e := int32(0); e < m.n; e++ {
+		if m.isAppended(e) {
+			continue
+		}
 		i := Hash(m.KeyAt(e)) & m.mask
 		for m.slots[i] != 0 {
 			i = (i + 1) & m.mask

@@ -128,3 +128,64 @@ func TestMapGrowKeepsEntries(t *testing.T) {
 		}
 	}
 }
+
+// TestMapAppendUnhashed pins Append: an appended key takes the next id
+// and KeyAt returns it, but Get and Intern never find it; growth keeps
+// every hashed entry findable under its id; and only hashed entries
+// count towards the load factor.
+func TestMapAppendUnhashed(t *testing.T) {
+	key := func(i int) []uint64 { return []uint64{uint64(i), uint64(i) * 7} }
+	m := NewMap(2, 0)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			if id, fresh := m.Intern(key(i)); !fresh || id != int32(i) {
+				t.Fatalf("Intern(%d) = (%d,%v), want (%d,true)", i, id, fresh, i)
+			}
+		} else if id := m.Append(key(i)); id != int32(i) {
+			t.Fatalf("Append(%d) = %d", i, id)
+		}
+	}
+	if m.Len() != n {
+		t.Fatalf("Len = %d, want %d", m.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		if got := m.KeyAt(int32(i)); got[0] != key(i)[0] || got[1] != key(i)[1] {
+			t.Fatalf("KeyAt(%d) = %v, want %v", i, got, key(i))
+		}
+		id, ok := m.Get(key(i))
+		if i%3 == 0 && (!ok || id != int32(i)) {
+			t.Fatalf("hashed key %d: Get = (%d,%v), want (%d,true)", i, id, ok, i)
+		}
+		if i%3 != 0 && ok {
+			t.Fatalf("appended key %d: Get found it at %d", i, id)
+		}
+	}
+	// 1000 hashed entries fit 2048 slots at load ≤ 0.75; all 3000 would
+	// need 4096.
+	if len(m.slots) != 2048 {
+		t.Errorf("%d slots for 1000 hashed of %d entries, want 2048", len(m.slots), n)
+	}
+	if id, fresh := m.Intern(key(1)); !fresh || id != n {
+		t.Fatalf("Intern of appended key 1 = (%d,%v), want a fresh entry %d", id, fresh, n)
+	}
+	if id, ok := m.Get(key(1)); !ok || id != n {
+		t.Fatalf("Get(key 1) after Intern = (%d,%v), want (%d,true)", id, ok, n)
+	}
+
+	// Appends alone never grow the slot array.
+	m = NewMap(1, 0)
+	for i := 0; i < 100; i++ {
+		m.Append([]uint64{uint64(i)})
+	}
+	for i := 100; i < 112; i++ {
+		m.Intern([]uint64{uint64(i)})
+	}
+	if len(m.slots) != 16 {
+		t.Errorf("12 hashed of 112 entries: %d slots, want 16", len(m.slots))
+	}
+	m.Intern([]uint64{112})
+	if len(m.slots) != 32 {
+		t.Errorf("13 hashed entries: %d slots, want 32", len(m.slots))
+	}
+}

@@ -11,14 +11,16 @@ import (
 
 // TestOnTheFlyAllocsPerPair pins the packed on-the-fly product: a check
 // must amortize to fewer than one heap allocation per product pair, at
-// one worker and at two. Pairs are one-word keys in a flat intern
-// table, TM edges live in a chunked arena, and Σd steps are a flat memo,
-// so allocation comes only from table growth and the interned spec
-// states; any return to per-pair boxing or per-state edge slices trips
-// the bound.
+// one worker and at two. Pairs are one-word keys in a flat table behind
+// a per-TM-state first-partner column, TM edges live in a chunked arena
+// located by one pointer-free word per state, and Σd steps are a flat
+// memo that grows one row per append, so allocation comes only from the
+// growth of these arrays; any return to per-pair boxing, per-state edge
+// slices or per-step scratch trips the bound.
 //
 // Race builds skip this file: the detector instruments allocations and
-// the count is not meaningful there.
+// the count is not meaningful there. CI runs it in its "Allocation
+// gates" step.
 func TestOnTheFlyAllocsPerPair(t *testing.T) {
 	cases := []struct {
 		name string

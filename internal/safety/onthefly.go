@@ -248,10 +248,19 @@ const otfChunk = 4096
 // key tm<<32 | spec, and its id is its first-sight index in pairs, so
 // pairs.KeyAt is the pair table. parent and letter hold the BFS tree
 // (letter -1 for the root and ε-steps).
+//
+// first is the first-partner column: first[tm] is one more than the
+// spec id of the first pair seen with TM state tm (0: none yet). That
+// pair is stored in pairs by Append, outside its hash index, so a push
+// whose spec id matches the column, or whose TM state has no pair yet,
+// is answered without hashing; only a TM state's later partners are
+// interned in the hash index. Most TM states of a product pair with one
+// spec state.
 type product struct {
 	tms    *explore.Lazy
 	lz     *spec.Lazy
 	pairs  *pack.Map
+	first  []int32
 	parent []int32
 	letter []int16
 	key    [1]uint64
@@ -259,11 +268,23 @@ type product struct {
 }
 
 func (p *product) push(tm, sp, from int32, l int16) {
-	p.key[0] = uint64(tm)<<32 | uint64(uint32(sp))
-	if _, fresh := p.pairs.Intern(p.key[:]); fresh {
-		p.parent = append(p.parent, from)
-		p.letter = append(p.letter, l)
+	if int(tm) >= len(p.first) {
+		p.first = append(p.first, make([]int32, p.tms.NumStates()-len(p.first))...)
 	}
+	p.key[0] = uint64(tm)<<32 | uint64(uint32(sp))
+	switch p.first[tm] {
+	case sp + 1:
+		return
+	case 0:
+		p.first[tm] = sp + 1
+		p.pairs.Append(p.key[:])
+	default:
+		if _, fresh := p.pairs.Intern(p.key[:]); !fresh {
+			return
+		}
+	}
+	p.parent = append(p.parent, from)
+	p.letter = append(p.letter, l)
 }
 
 func (p *product) at(id int32) (tm, sp int32) {

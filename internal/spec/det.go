@@ -110,8 +110,8 @@ func (sp *Det) begin(q *DState, t core.Thread) core.ThreadSet {
 // performs the mirror-image eager check.) Found by the 4-thread fuzzer.
 func (sp *Det) addStrictPreds(q *DState, receiver int, ms core.ThreadSet) {
 	q.SP[receiver] = q.SP[receiver].Union(ms)
-	for _, m := range ms.Threads() {
-		if q.WP[m].Has(core.Thread(receiver)) {
+	for m := range sp.Threads {
+		if ms.Has(core.Thread(m)) && q.WP[m].Has(core.Thread(receiver)) {
 			q.Status[m] = stInvalid
 		}
 	}
@@ -355,9 +355,10 @@ func (sp *Det) EnumerateWorkers(workers int) *automata.DFA {
 // isolated into a *guard.LimitError. A nil guard sets no limits.
 func (sp *Det) EnumerateGuarded(g *guard.Guard) (dfa *automata.DFA, err error) {
 	start := time.Now()
-	ab := core.Alphabet{Threads: sp.Threads, Vars: sp.Vars}
-	dfa = automata.NewDFA(ab.Size())
-	err = guard.Capture(func() error { return sp.enumerate(dfa, g) })
+	err = guard.Capture(func() (err error) {
+		dfa, err = sp.enumerate(g)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -376,16 +377,18 @@ func (sp *Det) EnumerateGuarded(g *guard.Guard) (dfa *automata.DFA, err error) {
 const enumerateProgressEvery = 8192
 
 // enumerate is the scan-order enumeration: the lazy view's states are
-// expanded in id order to the fixpoint, each defined transition
-// materialized into the DFA, so the numbering is first-sight scan
-// order. The guard is consulted once per expanded state.
-func (sp *Det) enumerate(dfa *automata.DFA, g *guard.Guard) error {
+// stepped under every letter in id order to the fixpoint, so the
+// numbering is first-sight scan order and every memo cell is known at
+// the end. The DFA is then the memo itself — its None is the DFA's -1 —
+// so the transition table is held once. The guard is consulted once per
+// expanded state.
+func (sp *Det) enumerate(g *guard.Guard) (*automata.DFA, error) {
 	lz := NewLazy(sp)
 	active, events := g.Active(), obs.EventsEnabled()
 	for from := int32(0); int(from) < lz.NumStates(); from++ {
 		if active {
 			if err := g.Check(lz.NumStates()); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		if events && from > 0 && from%enumerateProgressEvery == 0 {
@@ -396,13 +399,8 @@ func (sp *Det) enumerate(dfa *automata.DFA, g *guard.Guard) error {
 			})
 		}
 		for l := range lz.ab.Size() {
-			if to := lz.Step(from, l); to != None {
-				for dfa.NumStates() <= int(to) {
-					dfa.AddState() // state 0 is pre-allocated by NewDFA
-				}
-				dfa.SetEdge(int(from), l, int(to))
-			}
+			lz.Step(from, l)
 		}
 	}
-	return nil
+	return automata.NewDFATable(lz.ab.Size(), lz.memo), nil
 }

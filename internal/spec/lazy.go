@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"slices"
+
 	"tmcheck/internal/core"
 	"tmcheck/internal/pack"
 )
@@ -37,9 +39,10 @@ type Lazy struct {
 	Det *Det
 	ab  core.Alphabet
 
-	kw   int
-	keys *pack.Map
-	memo []int32 // memo[s*ab.Size()+l]
+	kw      int
+	keys    *pack.Map
+	memo    []int32 // memo[s*ab.Size()+l]
+	unknown []int32 // a fresh memo row: ab.Size() stepUnknown cells
 
 	last int32 // id of q, or -1
 	q    DState
@@ -54,6 +57,7 @@ func NewLazy(d *Det) *Lazy {
 	lz := &Lazy{Det: d, ab: core.Alphabet{Threads: d.Threads, Vars: d.Vars}, last: -1}
 	lz.kw = pack.WordsFor(d.Threads * (statusBits + 4*d.Vars + 2*d.Threads))
 	lz.keys = pack.NewMap(lz.kw, 0)
+	lz.unknown = slices.Repeat([]int32{stepUnknown}, lz.ab.Size())
 	lz.intern(d.Initial())
 	return lz
 }
@@ -96,9 +100,7 @@ func (lz *Lazy) decode(key []uint64, q *DState) {
 func (lz *Lazy) intern(q DState) int32 {
 	id, fresh := lz.keys.Intern(lz.encode(&q))
 	if fresh {
-		for range lz.ab.Size() {
-			lz.memo = append(lz.memo, stepUnknown)
-		}
+		lz.memo = append(lz.memo, lz.unknown...)
 	}
 	return id
 }
