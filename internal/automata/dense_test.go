@@ -41,21 +41,25 @@ func TestDenseFromNFAPreservesShape(t *testing.T) {
 				dn.NumStates(), a.NumStates(), dn.Initial(), a.Initial())
 		}
 		for s := 0; s < a.NumStates(); s++ {
-			eps := dn.epsTo[dn.epsOff[s]:dn.epsOff[s+1]]
-			if !reflect.DeepEqual(append([]int32{}, eps...), append([]int32{}, a.EpsSucc(s)...)) {
+			es := dn.Edges(int32(s))
+			i := 0
+			eps := []int32{}
+			for ; i < len(es) && es[i].Emit < 0; i++ {
+				eps = append(eps, es[i].To)
+			}
+			if !reflect.DeepEqual(eps, append([]int32{}, a.EpsSucc(s)...)) {
 				t.Fatalf("state %d: eps %v, want %v", s, eps, a.EpsSucc(s))
 			}
-			i := dn.letOff[s]
 			for l := 0; l < a.Alphabet(); l++ {
 				var got []int32
-				for ; i < dn.letOff[s+1] && int(dn.lets[i]) == l; i++ {
-					got = append(got, dn.tos[i])
+				for ; i < len(es) && int(es[i].Emit) == l; i++ {
+					got = append(got, es[i].To)
 				}
 				if !reflect.DeepEqual(got, append([]int32(nil), a.Succ(s, l)...)) && len(a.Succ(s, l)) > 0 {
 					t.Fatalf("state %d letter %d: %v, want %v", s, l, got, a.Succ(s, l))
 				}
 			}
-			if i != dn.letOff[s+1] {
+			if i != len(es) {
 				t.Fatalf("state %d: letters not ascending", s)
 			}
 		}

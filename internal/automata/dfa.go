@@ -65,6 +65,9 @@ func (d *DFA) SetEdge(from, letter, to int) {
 // Succ returns the successor of s on letter l, or -1 when undefined.
 func (d *DFA) Succ(s, l int) int { return int(d.row(s)[l]) }
 
+// Step is Succ on the int32 state ids of a product Walk.
+func (d *DFA) Step(s int32, l int) int32 { return d.trans[int(s)*d.alphabet+l] }
+
 // Accepts reports whether the word stays on defined transitions.
 func (d *DFA) Accepts(word []int) bool {
 	s := d.initial

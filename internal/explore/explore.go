@@ -427,10 +427,10 @@ func (ts *TS) buildNFA() *automata.NFA {
 
 // DenseNFA views the transition system as a CSR automaton — the same
 // language and per-state successor order as NFA(), flattened into the
-// arrays the deterministic inclusion walk iterates. Built once and
-// cached, like the boxed view, and built directly from the edge lists
-// (not via NFA()), so the safety pipeline never materializes the boxed
-// per-state-per-letter slices.
+// edge array the materialized engine's automata.Walk iterates. Built
+// once and cached, like the boxed view, and built directly from the
+// edge lists (not via NFA()), so the safety pipeline never materializes
+// the boxed per-state-per-letter slices.
 func (ts *TS) DenseNFA() *automata.DenseNFA {
 	ts.denseOnce.Do(func() { ts.dense = ts.buildDenseNFA() })
 	return ts.dense

@@ -6,19 +6,13 @@ import (
 	"sync"
 	"time"
 
+	"tmcheck/internal/automata"
 	"tmcheck/internal/chaos"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
 	"tmcheck/internal/pack"
 	"tmcheck/internal/tm"
 )
-
-// LazyEdge is one cached transition of a Lazy state: the successor's id
-// and the emitted letter, or -1 for an internal ⊥-step.
-type LazyEdge struct {
-	To   int32
-	Emit int16
-}
 
 // An edge word locates one expanded state's edge list in the Lazy's
 // arena: the chunk index plus one in the top 24 bits (0: the state is
@@ -34,11 +28,11 @@ const (
 	wordMaxField  = 1<<wordFieldBits - 1
 )
 
-// Lazy is the lazily expanded TM×CM product the on-the-fly safety search
-// walks. States get dense ids on first sight and are expanded at most
-// once; each expansion is cached as its (successor, letter) list, ε-steps
-// first and then by letter, in stable order — the successor order of the
-// materialized inclusion walk, so the product BFS and its counterexample
+// Lazy is the lazily expanded TM×CM product, the left side of the
+// on-the-fly safety search's automata.Walk. States get dense ids on
+// first sight and are expanded at most once; each expansion is cached as
+// its (successor, letter) list in automata.SortEdges order — the order
+// of the built system's TS.DenseNFA, so the walk and its counterexample
 // are bit-identical across engines. Every product interns its core's
 // keys in a pack.Map: bit-packed keys when it packs (packedFor), the
 // boxed core's one-word numbers otherwise.
@@ -54,8 +48,8 @@ type Lazy struct {
 	packed  bool // false: pc is a boxed core, which is never prefetched
 	keys    *pack.Map
 	words   []uint64 // per state: the edge word, 0 until expanded
-	arena   arena[LazyEdge]
-	scratch []LazyEdge
+	arena   arena[automata.Edge]
+	scratch []automata.Edge
 	cur     [pack.MaxWords]uint64
 	yield   func(next []uint64, e Edge)
 
@@ -98,14 +92,14 @@ type aheadSpan struct{ h, start, end int32 }
 // NewLazy returns the lazy product of alg (with an optional manager cm)
 // and the most general program, holding only the initial state (id 0).
 func NewLazy(alg tm.Algorithm, cm tm.ContentionManager) *Lazy {
-	lz := &Lazy{arena: arena[LazyEdge]{chunkSize: 64}}
+	lz := &Lazy{arena: arena[automata.Edge]{chunkSize: 64}}
 	lz.pc, lz.packed = coreFor(alg, cm)
 	kw := lz.pc.keyWords()
 	lz.keys = pack.NewMap(kw, 0)
 	lz.pc.writeInit(lz.cur[:kw])
 	lz.keys.Intern(lz.cur[:kw])
 	lz.yield = func(next []uint64, e Edge) {
-		lz.scratch = append(lz.scratch, LazyEdge{To: lz.internKey(next), Emit: e.Emit})
+		lz.scratch = append(lz.scratch, automata.Edge{To: lz.internKey(next), Emit: e.Emit})
 	}
 	lz.words = append(lz.words, 0)
 	return lz
@@ -125,7 +119,7 @@ func (lz *Lazy) internKey(key []uint64) int32 {
 // Edges returns the cached edge list of state id, expanding the state on
 // first request — from a joined prefetch when there is one. The list
 // stays valid for the Lazy's lifetime; callers must not modify it.
-func (lz *Lazy) Edges(id int32) []LazyEdge {
+func (lz *Lazy) Edges(id int32) []automata.Edge {
 	if w := lz.words[id]; w != 0 {
 		return lz.list(w)
 	}
@@ -148,27 +142,20 @@ func (lz *Lazy) takeAhead(i int32) {
 	out := lz.ready.outs[sp.h]
 	for j := sp.start; j < sp.end; j++ {
 		to := lz.internKey(out.keys[j*kw : (j+1)*kw])
-		lz.scratch = append(lz.scratch, LazyEdge{To: to, Emit: out.emits[j]})
+		lz.scratch = append(lz.scratch, automata.Edge{To: to, Emit: out.emits[j]})
 	}
 }
 
 // list returns the edge list that edge word w locates.
-func (lz *Lazy) list(w uint64) []LazyEdge {
+func (lz *Lazy) list(w uint64) []automata.Edge {
 	return lz.arena.at(int(w>>(2*wordFieldBits))-1, int(w>>wordFieldBits)&wordMaxField, int(w&wordMaxField))
 }
 
-// settle sorts the scratch edges ε-first and then by letter — an
-// insertion sort, stable, as edge lists are a few elements long — and
-// caches them as state id's list.
-func (lz *Lazy) settle(id int32) []LazyEdge {
+// settle sorts the scratch edges ε-first and then by letter
+// (automata.SortEdges) and caches them as state id's list.
+func (lz *Lazy) settle(id int32) []automata.Edge {
 	es := lz.scratch
-	for i := 1; i < len(es); i++ {
-		e, j := es[i], i
-		for ; j > 0 && es[j-1].Emit > e.Emit; j-- {
-			es[j] = es[j-1]
-		}
-		es[j] = e
-	}
+	automata.SortEdges(es)
 	if len(es) > wordMaxField {
 		panic(fmt.Sprintf("explore: state %d has %d edges, over the edge word's %d", id, len(es), wordMaxField))
 	}

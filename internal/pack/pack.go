@@ -104,7 +104,7 @@ type GrowFunc func(need int, cur []uint64) []uint64
 //
 // Append numbers a key the same way but leaves it out of the hash
 // index, for callers that answer membership of such keys themselves
-// (the on-the-fly product's first-partner column): Get and Intern never
+// (the product walk's first-partner column): Get and Intern never
 // find an appended key, and only hashed entries count towards the load
 // factor.
 //

@@ -2,6 +2,7 @@ package safety
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -40,7 +41,10 @@ func TestSafetyLargerInstances(t *testing.T) {
 	}
 }
 
-// Modified TL2 stays broken on larger instances too.
+// Modified TL2 stays broken on larger instances too. Its (2,3) product
+// of 867,340 TM states and 389,618 Σd states is far past 2^28 pair
+// slots, so the two engines are pinned together on a large walk: the
+// same counterexample and the same 223,110 pairs.
 func TestModTL2BrokenAtLargerInstance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger instances are slow")
@@ -51,6 +55,17 @@ func TestModTL2BrokenAtLargerInstance(t *testing.T) {
 	}
 	if core.IsStrictlySerializable(res.Counterexample) {
 		t.Errorf("counterexample %q is serializable", res.Counterexample)
+	}
+	otf, err := VerifyOpts(tm.NewTL2Mod(2, 3), tm.Polite{}, spec.StrictSerializability, Options{Engine: EngineOnTheFly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(otf.Counterexample, res.Counterexample) {
+		t.Errorf("on-the-fly counterexample %q, materialized %q", otf.Counterexample, res.Counterexample)
+	}
+	if otf.Inclusion.PairsVisited != 223110 || res.Inclusion.PairsVisited != 223110 {
+		t.Errorf("pairs: on-the-fly %d, materialized %d, want 223110",
+			otf.Inclusion.PairsVisited, res.Inclusion.PairsVisited)
 	}
 }
 

@@ -3,7 +3,6 @@ package safety
 import (
 	"context"
 	"errors"
-	"slices"
 	"strconv"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"tmcheck/internal/explore"
 	"tmcheck/internal/guard"
 	"tmcheck/internal/obs"
-	"tmcheck/internal/pack"
 	"tmcheck/internal/parbfs"
 	"tmcheck/internal/spec"
 	"tmcheck/internal/tm"
@@ -85,9 +83,9 @@ func (opts Options) guard() *guard.Guard {
 // worker count.
 //
 // Both engines return identical verdicts and identical counterexample
-// words (the on-the-fly search orders each state's edges ε-first then
-// by letter, matching the product order of the materialized inclusion
-// check — TestEngineAgreement asserts this across the registry).
+// words: both run automata.Walk, over sides that list each state's edges
+// in the same order (TestEngineAgreement asserts this across the
+// registry).
 func VerifyOpts(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, opts Options) (Result, error) {
 	g := opts.guard()
 	if opts.Engine == EngineOnTheFly {
@@ -129,11 +127,11 @@ func checkEvents(name string) func(res Result, err error) {
 }
 
 // verifyMaterialized is the classic pipeline with the guard threaded
-// through its three stages; the state budget of each stage is charged
-// against what the previous stages already constructed (the context
-// and heap watchdog are shared across all three unchanged).
-// phase=false suppresses the obs span for callers off the
-// single-threaded spine.
+// through its three stages: the TM build and the inclusion walk count
+// against the whole budget, and the spec enumeration's own count is
+// charged on top of the TM states (the context and heap watchdog are
+// shared across all three unchanged). phase=false suppresses the obs
+// span for callers off the single-threaded spine.
 func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, g *guard.Guard, phase bool, prov explore.PersistProvider) (res Result, err error) {
 	fin := checkEvents("dfa:" + systemName(alg, cm) + ":" + prop.Key())
 	defer func() { fin(res, err) }()
@@ -159,42 +157,12 @@ func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Pro
 	}
 	specElapsed := time.Since(specStart)
 
-	if maxStates > 0 {
-		if remaining = maxStates - ts.NumStates() - dfa.NumStates(); remaining < 1 {
-			return Result{}, &guard.LimitError{Budget: maxStates, Visited: ts.NumStates() + dfa.NumStates() + 1}
-		}
+	// The walk counts the TM and spec states with its pairs, so the
+	// whole budget applies.
+	if res, err = checkAgainstDFAGuarded(ts, prop, dfa, g, phase); err != nil {
+		return Result{}, err
 	}
-	done := func() {}
-	if phase {
-		done = obs.Phase("inclusion:" + ts.Name() + ":" + prop.Key())
-	}
-	nfa := ts.DenseNFA()
-	start := time.Now()
-	ok, cexLetters, st, err := automata.IncludedInDFADenseGuarded(nfa, dfa, g.WithStates(remaining))
-	elapsed := time.Since(start)
-	done()
-	if err != nil {
-		return Result{}, chargeStates(err, maxStates, ts.NumStates()+dfa.NumStates())
-	}
-	res = Result{
-		System:           ts.Name(),
-		Prop:             prop,
-		Threads:          ts.Alg.Threads(),
-		Vars:             ts.Alg.Vars(),
-		TMStates:         ts.NumStates(),
-		SpecStates:       dfa.NumStates(),
-		Holds:            ok,
-		Elapsed:          elapsed,
-		BuildTMElapsed:   buildElapsed,
-		BuildSpecElapsed: specElapsed,
-		Inclusion:        st,
-		Engine:           EngineMaterialized,
-		Resumed:          ts.Resumed,
-	}
-	if !ok {
-		res.Counterexample = ts.Alphabet.DecodeWord(cexLetters)
-	}
-	res.record("dfa")
+	res.BuildTMElapsed, res.BuildSpecElapsed = buildElapsed, specElapsed
 	return res, nil
 }
 
@@ -239,177 +207,44 @@ func checkOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 	return res, nil
 }
 
-// otfChunk is the on-the-fly search's unit of the pair queue: one
-// EvProgress heartbeat on the telemetry bus per chunk, and above one
-// worker the TM expansion prefetched one chunk ahead of the loop.
-const otfChunk = 4096
-
-// product is the state of one on-the-fly search. A pair is the one-word
-// key tm<<32 | spec, and its id is its first-sight index in pairs, so
-// pairs.KeyAt is the pair table. parent and letter hold the BFS tree
-// (letter -1 for the root and ε-steps).
+// searchProduct is the on-the-fly product search: the automata.Walk
+// of a lazily expanded TM (explore.Lazy) against a lazily stepped Σd
+// (spec.Lazy), one loop for every worker count.
 //
-// first is the first-partner column: first[tm] is one more than the
-// spec id of the first pair seen with TM state tm (0: none yet). That
-// pair is stored in pairs by Append, outside its hash index, so a push
-// whose spec id matches the column, or whose TM state has no pair yet,
-// is answered without hashing; only a TM state's later partners are
-// interned in the hash index. Most TM states of a product pair with one
-// spec state.
-type product struct {
-	tms    *explore.Lazy
-	lz     *spec.Lazy
-	pairs  *pack.Map
-	first  []int32
-	parent []int32
-	letter []int16
-	key    [1]uint64
-	ids    []int32 // prefetch scratch
-}
-
-func (p *product) push(tm, sp, from int32, l int16) {
-	if int(tm) >= len(p.first) {
-		p.first = append(p.first, make([]int32, p.tms.NumStates()-len(p.first))...)
-	}
-	p.key[0] = uint64(tm)<<32 | uint64(uint32(sp))
-	switch p.first[tm] {
-	case sp + 1:
-		return
-	case 0:
-		p.first[tm] = sp + 1
-		p.pairs.Append(p.key[:])
-	default:
-		if _, fresh := p.pairs.Intern(p.key[:]); !fresh {
-			return
-		}
-	}
-	p.parent = append(p.parent, from)
-	p.letter = append(p.letter, l)
-}
-
-func (p *product) at(id int32) (tm, sp int32) {
-	k := p.pairs.KeyAt(id)[0]
-	return int32(k >> 32), int32(uint32(k))
-}
-
-// word is the counterexample ending in letter last at pair id: the
-// letters along the BFS tree from the root, then last.
-func (p *product) word(id int32, last int16) []int {
-	rev := []int{int(last)}
-	for ; id > 0; id = p.parent[id] {
-		if p.letter[id] >= 0 {
-			rev = append(rev, int(p.letter[id]))
-		}
-	}
-	slices.Reverse(rev)
-	return rev
-}
-
-// prefetch hands the TM states of the chunk of pairs starting at lo —
-// as far as the queue holds it yet — to the TM side's prefetch helpers.
-func (p *product) prefetch(lo int32, workers int) {
-	p.ids = p.ids[:0]
-	hi := min(lo+otfChunk, int32(p.pairs.Len()))
-	for id := lo; id < hi; id++ {
-		tm, _ := p.at(id)
-		p.ids = append(p.ids, tm)
-	}
-	p.tms.Prefetch(p.ids, workers)
-}
-
-// searchProduct is the product BFS, one loop for every worker count.
-// Pairs are processed in id order and numbered on first sight, with each
-// TM state's edges ε-first and then by letter. The guard is consulted per
-// pair, the frontier peak is the largest queue backlog, and the search
-// returns at the first violation; with the telemetry bus on, each BFS
-// level's end publishes an EvLevelDone.
-//
-// Above one worker, while the loop runs one chunk of the queue, helper
+// Above one worker, while the walk runs one chunk of its queue, helper
 // goroutines expand the TM states of the next (explore.Lazy.Prefetch).
-// Their successors are interned only when the loop asks for them, in
+// Their successors are interned only when the walk asks for them, in
 // the order an inline expansion would intern them, so ids, sizes, the
 // frontier peak and the point where a budget trips are the same at
 // every worker count.
 func searchProduct(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, workers int, g *guard.Guard, name string) (Result, error) {
-	p := &product{
-		tms:   explore.NewLazy(alg, cm),
-		lz:    spec.NewLazy(spec.NewDet(prop, alg.Threads(), alg.Vars())),
-		pairs: pack.NewMap(1, 0),
+	tms := explore.NewLazy(alg, cm)
+	defer tms.Wait()
+	lz := spec.NewLazy(spec.NewDet(prop, alg.Threads(), alg.Vars()))
+	w := automata.Walk{A: tms, D: lz, Guard: g, Name: name}
+	if workers > 1 {
+		w.Ahead = func(states []int32) { tms.Prefetch(states, workers) }
 	}
-	defer p.tms.Wait()
-	p.push(0, 0, -1, -1)
-	guarded, events := g.Active(), obs.EventsEnabled()
-	states := func() int { return p.pairs.Len() + p.tms.NumStates() + p.lz.NumStates() }
-	result := func(holds bool, cexLetters []int, peak int) (Result, error) {
-		res := Result{
-			System:       systemName(alg, cm),
-			Prop:         prop,
-			Threads:      alg.Threads(),
-			Vars:         alg.Vars(),
-			TMStates:     p.tms.NumStates(),
-			SpecStates:   p.lz.NumStates(),
-			Holds:        holds,
-			Engine:       EngineOnTheFly,
-			FrontierPeak: peak,
-			Inclusion:    automata.InclusionStats{PairsVisited: p.pairs.Len(), CexLen: len(cexLetters)},
-		}
-		if !holds {
-			res.Counterexample = core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}.DecodeWord(cexLetters)
-		}
-		return res, nil
+	r, err := w.Run()
+	if err != nil {
+		return Result{}, err
 	}
-	level, levelEnd, last := int32(0), int32(1), time.Now()
-	levelDone := func(expanded int32) {
-		now := time.Now()
-		obs.Emit(obs.Event{
-			Kind: obs.EvLevelDone, Name: name, Level: level,
-			States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - int(expanded)),
-			HeapBytes: obs.SampledHeap(), DurNS: now.Sub(last).Nanoseconds(),
-		})
-		last, level = now, level+1
+	res := Result{
+		System:       systemName(alg, cm),
+		Prop:         prop,
+		Threads:      alg.Threads(),
+		Vars:         alg.Vars(),
+		TMStates:     tms.NumStates(),
+		SpecStates:   lz.NumStates(),
+		Holds:        r.Holds,
+		Engine:       EngineOnTheFly,
+		FrontierPeak: r.FrontierPeak,
+		Inclusion:    r.Stats,
 	}
-
-	peak := 1
-	for qi := int32(0); int(qi) < p.pairs.Len(); qi++ {
-		if events && qi == levelEnd {
-			levelDone(qi)
-			levelEnd = int32(p.pairs.Len())
-		}
-		if guarded {
-			if err := g.Check(states()); err != nil {
-				return Result{}, err
-			}
-		}
-		peak = max(peak, p.pairs.Len()-int(qi))
-		if qi%otfChunk == 0 {
-			if events && qi > 0 {
-				obs.Emit(obs.Event{
-					Kind: obs.EvProgress, Name: name,
-					States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - int(qi)),
-					HeapBytes: obs.SampledHeap(),
-				})
-			}
-			if workers > 1 {
-				p.prefetch(qi+otfChunk, workers)
-			}
-		}
-		tm, sp := p.at(qi)
-		for _, e := range p.tms.Edges(tm) {
-			if e.Emit < 0 {
-				p.push(e.To, sp, qi, -1)
-				continue
-			}
-			d2 := p.lz.Step(sp, int(e.Emit))
-			if d2 == spec.None {
-				return result(false, p.word(qi, e.Emit), peak)
-			}
-			p.push(e.To, d2, qi, e.Emit)
-		}
+	if !r.Holds {
+		res.Counterexample = core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}.DecodeWord(r.Cex)
 	}
-	if events {
-		levelDone(int32(p.pairs.Len()))
-	}
-	return result(true, nil, peak)
+	return res, nil
 }
 
 // systemName names the system without constructing anything.

@@ -122,23 +122,32 @@ func TestBudgetExceeded(t *testing.T) {
 		kind            guard.Kind
 		budget, visited int
 	}
-	for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
-		limitAt := func(workers int) limit {
-			_, err := VerifyOpts(tm.NewDSTM(2, 2), nil, spec.Opacity,
-				Options{Workers: workers, MaxStates: 200, Engine: engine})
-			var le *guard.LimitError
-			if !errors.As(err, &le) {
-				t.Fatalf("%v w=%d: err = %v, want *guard.LimitError", engine, workers, err)
+	// A budget of 200 trips in the materialized engine's TM build. 20000
+	// is past dstm's 2,864 TM and 2,208 Σdop states, so the materialized
+	// engine trips inside its inclusion walk; both engines tripped at
+	// 20,003 states before they shared one walk (visited 0: not pinned).
+	for _, tc := range []struct{ budget, visited int }{{200, 0}, {20000, 20003}} {
+		for _, engine := range []Engine{EngineOnTheFly, EngineMaterialized} {
+			limitAt := func(workers int) limit {
+				_, err := VerifyOpts(tm.NewDSTM(2, 2), nil, spec.Opacity,
+					Options{Workers: workers, MaxStates: tc.budget, Engine: engine})
+				var le *guard.LimitError
+				if !errors.As(err, &le) {
+					t.Fatalf("%v budget %d w=%d: err = %v, want *guard.LimitError", engine, tc.budget, workers, err)
+				}
+				return limit{le.Kind, le.Budget, le.Visited}
 			}
-			return limit{le.Kind, le.Budget, le.Visited}
-		}
-		want := limitAt(1)
-		if want.kind != guard.KindStates || want.budget != 200 || want.visited <= 200 {
-			t.Fatalf("%v w=1: limit %+v, want a states limit past budget 200", engine, want)
-		}
-		for _, workers := range []int{2, 4} {
-			if got := limitAt(workers); got != want {
-				t.Errorf("%v w=%d: limit %+v, one worker %+v", engine, workers, got, want)
+			want := limitAt(1)
+			if want.kind != guard.KindStates || want.budget != tc.budget || want.visited <= tc.budget {
+				t.Fatalf("%v w=1: limit %+v, want a states limit past budget %d", engine, want, tc.budget)
+			}
+			if tc.visited != 0 && want.visited != tc.visited {
+				t.Errorf("%v w=1: limit %+v, want visited %d", engine, want, tc.visited)
+			}
+			for _, workers := range []int{2, 4} {
+				if got := limitAt(workers); got != want {
+					t.Errorf("%v w=%d: limit %+v, one worker %+v", engine, workers, got, want)
+				}
 			}
 		}
 	}
