@@ -68,11 +68,11 @@ func (bc *boxedCore) stateAt(key []uint64) prodState { return bc.states[key[0]] 
 
 // unfolding is the boxed successor generator of the TM×CM×most-general-
 // program product: it runs the TM semantics on boxed tm.State values.
-// The boxed core expands through it. Every engine funnels through
-// forEachEnabled/forEachStep (or the packed core's mirror of them), so
-// per-state edge order — and hence every canonical numbering and every
-// counterexample downstream — is bit-identical across engines by
-// construction.
+// The boxed core and BuildRestricted expand through it. Every engine
+// funnels through forEachEnabled/forEachStep (or the packed core's
+// mirror of them), so per-state edge order — and hence every canonical
+// numbering and every counterexample downstream — is bit-identical
+// across engines by construction.
 type unfolding struct {
 	alg      tm.Algorithm
 	cm       tm.ContentionManager // nil when the TM runs without a manager

@@ -81,11 +81,24 @@ type boxedStates []prodState
 func (b boxedStates) Len() int             { return len(b) }
 func (b boxedStates) At(i int32) prodState { return b[i] }
 
+// System is a TM algorithm with an optional contention manager.
+type System struct {
+	Alg tm.Algorithm
+	CM  tm.ContentionManager // nil when the TM runs without a manager
+}
+
+// Name describes the system, e.g. "dstm" or "tl2+polite".
+func (s System) Name() string {
+	if s.CM == nil {
+		return s.Alg.Name()
+	}
+	return s.Alg.Name() + "+" + s.CM.Name()
+}
+
 // TS is the explicit transition system of a TM algorithm applied to the
 // most general program.
 type TS struct {
-	Alg      tm.Algorithm
-	CM       tm.ContentionManager // nil when the TM runs without a manager
+	System
 	Alphabet core.Alphabet
 	Out      [][]Edge // outgoing edges per state; state 0 is initial
 
@@ -112,14 +125,6 @@ type TS struct {
 // decode it on demand, so treat this as a cold-path accessor (tests,
 // witnesses, diagnostics) — the hot analyses walk Out and the NFA view.
 func (ts *TS) StateAt(i int32) prodState { return ts.states.At(i) }
-
-// Name describes the explored system, e.g. "dstm" or "tl2+polite".
-func (ts *TS) Name() string {
-	if ts.CM == nil {
-		return ts.Alg.Name()
-	}
-	return ts.Alg.Name() + "+" + ts.CM.Name()
-}
 
 // NumStates returns the number of reachable states — the "Size" column of
 // the paper's Table 2.
@@ -184,7 +189,7 @@ func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, pro
 		}
 	}
 	start := time.Now()
-	ts := &TS{Alg: alg, CM: cm, Alphabet: core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}}
+	ts := &TS{System: System{alg, cm}, Alphabet: core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}}
 	out, states, resumed, err := scan(alg, cm, g, nil, p)
 	if err != nil {
 		return nil, err
@@ -205,8 +210,8 @@ func BuildGuarded(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, pro
 //
 // The barrier sequence is (cum(0), cum(1)), (cum(1), cum(2)), …,
 // (total, total), where cum(L) counts the states in BFS levels 0..L —
-// a function of the canonical numbering alone, which the materialized
-// liveness checks replay from a built TS (TS.LevelSizes).
+// a function of the canonical numbering alone, which TS.Levels replays
+// over a built system.
 type Barrier func(out [][]Edge, interned, expanded int) error
 
 // ScanLevels lazily unfolds the TM×CM product in canonical scan order,
@@ -221,6 +226,30 @@ type Barrier func(out [][]Edge, interned, expanded int) error
 func ScanLevels(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Barrier) error {
 	_, _, _, err := scan(alg, cm, g, barrier, nil)
 	return err
+}
+
+// Levels replays over the built system the barrier sequence ScanLevels
+// fires while exploring it: the same (interned, expanded) pairs, with
+// out the first expanded lists of ts.Out. It walks the scan's loop over
+// the finished adjacency — a level ends at the state the last barrier
+// had interned, and the interned count at a boundary is one past the
+// largest successor id of the states expanded so far, since ids are
+// first-sight — so the two sequences agree by construction. A non-nil
+// return of barrier stops the replay and is returned verbatim.
+func (ts *TS) Levels(barrier Barrier) error {
+	levelEnd, interned := 1, 1
+	for qi, es := range ts.Out {
+		if qi == levelEnd {
+			if err := barrier(ts.Out[:qi:qi], interned, qi); err != nil {
+				return err
+			}
+			levelEnd = interned
+		}
+		for _, e := range es {
+			interned = max(interned, int(e.To)+1)
+		}
+	}
+	return barrier(ts.Out, len(ts.Out), len(ts.Out))
 }
 
 // scan is the exploration engine under BuildGuarded and ScanLevels:
@@ -253,14 +282,6 @@ func scan(alg tm.Algorithm, cm tm.ContentionManager, g *guard.Guard, barrier Bar
 		states = boxedStates(pc.(*boxedCore).states)
 	}
 	return out, states, resumed, nil
-}
-
-// systemLabel names the system without constructing a TS.
-func systemLabel(alg tm.Algorithm, cm tm.ContentionManager) string {
-	if cm == nil {
-		return alg.Name()
-	}
-	return alg.Name() + "+" + cm.Name()
 }
 
 // newLevelEmitter returns the per-barrier telemetry publisher for one
@@ -339,9 +360,7 @@ func (ts *TS) record(start time.Time) {
 
 // LevelSizes returns the BFS level populations of the final graph.
 // Because the numbering is first-sight scan order, level L occupies the
-// contiguous id range [cum(L-1), cum(L)); the materialized liveness
-// checks use these prefix boundaries to replay the on-the-fly probe
-// schedule.
+// contiguous id range [cum(L-1), cum(L)).
 func (ts *TS) LevelSizes() []int {
 	dist := make([]int32, len(ts.Out))
 	for i := range dist {
@@ -389,12 +408,6 @@ func recordFrontierHist(key string, sizes []int) {
 		obs.Inc(bucket, 1)
 	}
 	obs.MaxGauge(key+".frontier_peak", int64(peak))
-}
-
-// addEdge appends one resolved edge; the sequential restricted explorer
-// (restricted.go) still interns inline and uses this directly.
-func (ts *TS) addEdge(from int, e Edge) {
-	ts.Out[from] = append(ts.Out[from], e)
 }
 
 // NFA views the transition system as an automaton over the instance

@@ -380,7 +380,7 @@ func scanPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g *gu
 			in.Intern(r.Keys[i*kw : (i+1)*kw])
 		}
 		if id, ok := in.Get(keyBuf[:kw]); !ok || id != 0 || in.Len() != r.Interned {
-			return nil, nil, 0, fmt.Errorf("explore: snapshot prefix for %s does not match this system's initial state", systemLabel(alg, cm))
+			return nil, nil, 0, fmt.Errorf("explore: snapshot prefix for %s does not match this system's initial state", System{alg, cm}.Name())
 		}
 		out = append(out, r.Out...)
 		startQi = int32(r.Expanded)
@@ -398,7 +398,7 @@ func scanPacked(pc packedIface, alg tm.Algorithm, cm tm.ContentionManager, g *gu
 		scratch = append(scratch, e)
 	}
 	guarded := g.Active()
-	emit := newLevelEmitter(systemLabel(alg, cm))
+	emit := newLevelEmitter(System{alg, cm}.Name())
 	track := barrier != nil || emit != nil || flush != nil
 	var cur [pack.MaxWords]uint64
 	for qi := startQi; int(qi) < in.Len(); qi++ {

@@ -69,7 +69,7 @@ func PackedInfo(alg tm.Algorithm, cm tm.ContentionManager) (kw, keyBits int, ok 
 // product key): silently exploring without persistence would discard
 // exactly the work the caller asked to keep.
 func errNotPackable(alg tm.Algorithm, cm tm.ContentionManager) error {
-	return fmt.Errorf("explore: %s is not bit-packable; -checkpoint/-resume/-spill require a packed system", systemLabel(alg, cm))
+	return fmt.Errorf("explore: %s is not bit-packable; -checkpoint/-resume/-spill require a packed system", System{alg, cm}.Name())
 }
 
 // sinkFlusher tracks the barrier coordinates already persisted and

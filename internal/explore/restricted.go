@@ -101,124 +101,62 @@ type rstate struct {
 // analyses (safety inclusion, liveness loops) as Build's, so one can ask
 // whether a TM is, say, obstruction free for read-only workloads even
 // though it is not in general.
+//
+// Each state expands through the unfolding's forEachStep, for every
+// command the thread's program enables (or its pending command); the
+// program advances on the edge that completes the command and rewinds
+// on an abort.
 func BuildRestricted(alg tm.Algorithm, cm tm.ContentionManager, progs []ThreadProgram) *TS {
+	u := newUnfolding(alg, cm)
 	n := alg.Threads()
-	ab := core.Alphabet{Threads: n, Vars: alg.Vars()}
-	ts := &TS{Alg: alg, CM: cm, Alphabet: ab}
-
 	filled := make([]ThreadProgram, n)
+	init := rstate{Prod: u.initial()}
 	for t := 0; t < n; t++ {
+		filled[t] = AnyProgram{}
 		if t < len(progs) && progs[t] != nil {
 			filled[t] = progs[t]
-		} else {
-			filled[t] = AnyProgram{}
 		}
-	}
-
-	var init rstate
-	init.Prod = prodState{TM: alg.Initial()}
-	if cm != nil {
-		init.Prod.CM = cm.Initial()
-	}
-	for t := 0; t < n; t++ {
 		init.Prog[t] = filled[t].Initial()
 	}
 
 	index := map[rstate]int32{init: 0}
 	states := []rstate{init}
 	prods := boxedStates{init.Prod}
-	ts.Out = append(ts.Out, nil)
-	intern := func(s rstate) int32 {
-		if id, ok := index[s]; ok {
-			return id
-		}
-		id := int32(len(states))
-		index[s] = id
-		states = append(states, s)
-		prods = append(prods, s.Prod)
-		ts.Out = append(ts.Out, nil)
-		return id
-	}
-
-	commands := ab.Commands()
+	var out [][]Edge
 	for qi := 0; qi < len(states); qi++ {
 		q := states[qi]
+		var es []Edge
 		for t := core.Thread(0); int(t) < n; t++ {
-			var enabled []core.Command
-			if q.Prod.Pending[t].Active {
-				enabled = []core.Command{q.Prod.Pending[t].C}
-			} else {
-				for _, c := range commands {
-					if _, ok := filled[t].Next(q.Prog[t], c); ok {
-						enabled = append(enabled, c)
-					}
+			prog := filled[t]
+			yield := func(next prodState, e Edge) {
+				r := rstate{Prod: next, Prog: q.Prog}
+				switch {
+				case e.R == tm.Resp1:
+					r.Prog[t], _ = prog.Next(q.Prog[t], e.Cmd)
+				case e.X.Kind == tm.XAbort:
+					r.Prog[t] = prog.OnAbort(q.Prog[t])
 				}
-			}
-			for _, c := range enabled {
-				ts.expandRestricted(filled[t], qi, q, c, t, intern)
-			}
-		}
-	}
-	ts.states = prods
-	return ts
-}
-
-// expandRestricted mirrors TS.expand with program-state tracking: the
-// program advances when its command completes and rewinds on aborts.
-func (ts *TS) expandRestricted(prog ThreadProgram, qi int, q rstate, c core.Command, t core.Thread, intern func(rstate) int32) {
-	steps := ts.Alg.Steps(q.Prod.TM, c, t)
-	conflict := ts.Alg.Conflict(q.Prod.TM, c, t)
-
-	cmStep := func(x tm.XCmd) (tm.State, bool) {
-		if ts.CM == nil {
-			return q.Prod.CM, true
-		}
-		p2, has := ts.CM.Step(q.Prod.CM, x, t)
-		if conflict && !has {
-			return nil, false
-		}
-		if has {
-			return p2, true
-		}
-		return q.Prod.CM, true
-	}
-
-	for _, step := range steps {
-		cmNext, ok := cmStep(step.X)
-		if !ok {
-			continue
-		}
-		next := rstate{Prod: prodState{TM: step.Next, Pending: q.Prod.Pending, CM: cmNext}, Prog: q.Prog}
-		emit := int16(-1)
-		if step.R == tm.RespPending {
-			next.Prod.Pending[t] = pending{Active: true, C: c}
-		} else {
-			next.Prod.Pending[t] = pending{}
-			if step.R == tm.Resp1 {
-				emit = int16(ts.Alphabet.Encode(core.St(c, t)))
-				p2, ok := prog.Next(q.Prog[t], c)
+				id, ok := index[r]
 				if !ok {
-					continue // unreachable: c was enabled by the program
+					id = int32(len(states))
+					index[r] = id
+					states = append(states, r)
+					prods = append(prods, r.Prod)
 				}
-				next.Prog[t] = p2
+				e.To = id
+				es = append(es, e)
+			}
+			if q.Prod.Pending[t].Active {
+				u.forEachStep(q.Prod, q.Prod.Pending[t].C, t, yield)
+				continue
+			}
+			for _, c := range u.commands {
+				if _, ok := prog.Next(q.Prog[t], c); ok {
+					u.forEachStep(q.Prod, c, t, yield)
+				}
 			}
 		}
-		ts.addEdge(qi, Edge{To: intern(next), Cmd: c, T: t, X: step.X, R: step.R, Emit: emit})
+		out = append(out, es)
 	}
-
-	if len(steps) == 0 || conflict {
-		if cmNext, ok := cmStep(tm.XCmd{Kind: tm.XAbort}); ok {
-			next := rstate{
-				Prod: prodState{TM: ts.Alg.AbortStep(q.Prod.TM, t), Pending: q.Prod.Pending, CM: cmNext},
-				Prog: q.Prog,
-			}
-			next.Prod.Pending[t] = pending{}
-			next.Prog[t] = prog.OnAbort(q.Prog[t])
-			emit := int16(ts.Alphabet.Encode(core.St(core.Abort(), t)))
-			ts.addEdge(qi, Edge{
-				To: intern(next), Cmd: c, T: t,
-				X: tm.XCmd{Kind: tm.XAbort}, R: tm.Resp0, Emit: emit,
-			})
-		}
-	}
+	return &TS{System: System{alg, cm}, Alphabet: u.ab, Out: out, states: prods}
 }

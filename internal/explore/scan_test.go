@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tmcheck/internal/guard"
@@ -9,43 +10,42 @@ import (
 )
 
 // barrierTrace records the (expanded, interned) pairs and the resolved
-// prefix adjacency a ScanLevels run presents at its barriers.
+// prefix adjacency a barrier source presents at its barriers.
 type barrierTrace struct {
 	expanded, interned []int
-	edges              [][]int32 // successor ids of each expanded state, in order
+	edges              [][][]int32 // per barrier: successor ids of each expanded state, in order
 }
 
-func traceScan(t *testing.T, alg tm.Algorithm, cm tm.ContentionManager) barrierTrace {
+func traceBarriers(t *testing.T, source func(Barrier) error) barrierTrace {
 	t.Helper()
 	var tr barrierTrace
-	err := ScanLevels(alg, cm, nil, func(out [][]Edge, interned, expanded int) error {
+	err := source(func(out [][]Edge, interned, expanded int) error {
 		if len(out) != expanded {
 			t.Errorf("barrier (%d, %d): len(out) = %d, want the expanded count", expanded, interned, len(out))
 		}
 		tr.expanded = append(tr.expanded, expanded)
 		tr.interned = append(tr.interned, interned)
-		if expanded == interned { // capture the final adjacency at the fixpoint
-			for s := 0; s < expanded; s++ {
-				var succ []int32
-				for _, e := range out[s] {
-					succ = append(succ, e.To)
-				}
-				tr.edges = append(tr.edges, succ)
+		prefix := make([][]int32, len(out))
+		for s, es := range out {
+			for _, e := range es {
+				prefix[s] = append(prefix[s], e.To)
 			}
 		}
+		tr.edges = append(tr.edges, prefix)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ScanLevels: %v", err)
+		t.Fatalf("barrier source: %v", err)
 	}
 	return tr
 }
 
-// TestScanLevelsBarrierSequence checks the contract the on-the-fly
-// liveness engine builds on and the materialized one replays: the scan
-// hands over len(out) == expanded at every barrier, fires the barrier
-// sequence (cum(0), cum(1)), …, (total, total) of the built system's
-// BFS levels, and resolves the built system's adjacency.
+// TestScanLevelsBarrierSequence checks the contract both liveness
+// engines build on: the scan hands over len(out) == expanded at every
+// barrier, fires the barrier sequence (cum(0), cum(1)), …, (total,
+// total) of the built system's BFS levels, and resolves the built
+// system's adjacency; and TS.Levels replays over the built system the
+// same pairs with the same prefix adjacency at every barrier.
 func TestScanLevelsBarrierSequence(t *testing.T) {
 	cases := []struct {
 		alg tm.Algorithm
@@ -56,7 +56,7 @@ func TestScanLevelsBarrierSequence(t *testing.T) {
 		{tm.NewSeq(2, 1), nil},
 	}
 	for _, c := range cases {
-		got := traceScan(t, c.alg, c.cm)
+		got := traceBarriers(t, func(b Barrier) error { return ScanLevels(c.alg, c.cm, nil, b) })
 		ts := BuildWorkers(c.alg, c.cm, 1)
 		var want [][2]int // (expanded, interned) per barrier
 		cum := 0
@@ -75,10 +75,11 @@ func TestScanLevelsBarrierSequence(t *testing.T) {
 				t.Errorf("%s barrier %d: (expanded, interned) = %v, want %v", ts.Name(), i, pair, want[i])
 			}
 		}
-		if len(got.edges) != ts.NumStates() {
-			t.Fatalf("%s: fixpoint adjacency has %d states, built system %d", ts.Name(), len(got.edges), ts.NumStates())
+		final := got.edges[len(got.edges)-1]
+		if len(final) != ts.NumStates() {
+			t.Fatalf("%s: fixpoint adjacency has %d states, built system %d", ts.Name(), len(final), ts.NumStates())
 		}
-		for s, succ := range got.edges {
+		for s, succ := range final {
 			if len(succ) != len(ts.Out[s]) {
 				t.Fatalf("%s state %d: %d edges, built system %d", ts.Name(), s, len(succ), len(ts.Out[s]))
 			}
@@ -87,6 +88,15 @@ func TestScanLevelsBarrierSequence(t *testing.T) {
 					t.Errorf("%s state %d edge %d: to %d, built system %d", ts.Name(), s, j, to, ts.Out[s][j].To)
 				}
 			}
+		}
+
+		replay := traceBarriers(t, ts.Levels)
+		if !reflect.DeepEqual(replay.expanded, got.expanded) || !reflect.DeepEqual(replay.interned, got.interned) {
+			t.Errorf("%s: TS.Levels fires (expanded %v, interned %v), ScanLevels (%v, %v)",
+				ts.Name(), replay.expanded, replay.interned, got.expanded, got.interned)
+		}
+		if !reflect.DeepEqual(replay.edges, got.edges) {
+			t.Errorf("%s: TS.Levels hands over a prefix adjacency that differs from ScanLevels'", ts.Name())
 		}
 	}
 }

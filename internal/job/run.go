@@ -2,12 +2,9 @@ package job
 
 import (
 	"context"
-	"time"
 
 	"tmcheck/internal/explore"
-	"tmcheck/internal/guard"
 	"tmcheck/internal/liveness"
-	"tmcheck/internal/obs"
 	"tmcheck/internal/safety"
 	"tmcheck/internal/snap"
 	"tmcheck/internal/tm"
@@ -76,16 +73,25 @@ func RunConfig(ctx context.Context, sp Spec, cfg Config) (*Result, error) {
 		}
 		prov = persistProvider(store, spill)
 	}
+	opts := explore.Options{
+		Workers:   sp.Workers,
+		Engine:    engine,
+		MaxStates: sp.MaxStates,
+		MaxMem:    sp.MaxMem,
+		Ctx:       ctx,
+		NoPhases:  cfg.NoPhases,
+		Persist:   prov,
+	}
 	res := &Result{Spec: sp}
 	switch sp.Kind {
 	case KindSafety:
-		err = runSafety(ctx, sp, cfg, engine, prov, res)
+		err = runSafety(sp, opts, res)
 	case KindLiveness:
-		err = runLiveness(ctx, sp, cfg, engine, prov, res)
+		err = runLiveness(sp, opts, res)
 	case KindTable2:
-		err = runTable2(ctx, sp, cfg, engine, prov, res)
+		err = runTable2(sp, opts, res)
 	case KindTable3:
-		err = runTable3(ctx, sp, cfg, engine, prov, res)
+		err = runTable3(sp, opts, res)
 	}
 	annotateSnapshot(res, err, sp.Checkpoint)
 	if err != nil {
@@ -138,14 +144,6 @@ func annotateSnapshot(res *Result, err error, path string) {
 	}
 }
 
-// phaseFn opens an obs phase unless the config suppresses them.
-func phaseFn(cfg Config, name string) func() {
-	if cfg.NoPhases {
-		return func() {}
-	}
-	return obs.Phase(name)
-}
-
 // system resolves the spec's TM and manager from the registries.
 func system(sp Spec) (tm.Algorithm, tm.ContentionManager, error) {
 	alg, err := tm.NewAlgorithm(sp.TM, sp.Threads, sp.Vars)
@@ -159,20 +157,12 @@ func system(sp Spec) (tm.Algorithm, tm.ContentionManager, error) {
 	return alg, cm, nil
 }
 
-func runSafety(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
+func runSafety(sp Spec, opts explore.Options, res *Result) error {
 	alg, cm, err := system(sp)
 	if err != nil {
 		return err
 	}
-	r, err := safety.VerifyOpts(alg, cm, sp.property(), safety.Options{
-		Workers:   sp.Workers,
-		MaxStates: sp.MaxStates,
-		MaxMem:    sp.MaxMem,
-		Engine:    engine,
-		Ctx:       ctx,
-		NoPhases:  cfg.NoPhases,
-		Persist:   prov,
-	})
+	r, err := safety.VerifyOpts(alg, cm, sp.property(), opts)
 	if err != nil {
 		return err
 	}
@@ -180,56 +170,20 @@ func runSafety(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, 
 	return nil
 }
 
-func runLiveness(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
+func runLiveness(sp Spec, opts explore.Options, res *Result) error {
 	alg, cm, err := system(sp)
 	if err != nil {
 		return err
 	}
-	if engine == explore.EngineOnTheFly {
-		row, err := liveness.CheckAllOnTheFlyOpts(alg, cm, liveness.Options{
-			MaxStates: sp.MaxStates,
-			MaxMem:    sp.MaxMem,
-			Ctx:       ctx,
-			NoPhases:  cfg.NoPhases,
-		})
-		if err != nil {
-			return err
-		}
-		res.Checks = []Check{
-			checkFromLiveness(row.Obstruction),
-			checkFromLiveness(row.Livelock),
-			checkFromLiveness(row.Wait),
-		}
-		return nil
-	}
-	buildStart := time.Now()
-	buildDone := phaseFn(cfg, "build-tm")
-	ts, err := explore.BuildGuarded(alg, cm, guard.New(ctx, sp.MaxStates, sp.MaxMem), prov)
-	buildDone()
+	row, err := liveness.VerifyOpts(alg, cm, opts)
 	if err != nil {
 		return err
 	}
-	buildElapsed := time.Since(buildStart)
-	checks := make([]Check, 0, 3)
-	for _, c := range []struct {
-		prop  liveness.Prop
-		check func(*explore.TS) liveness.Result
-	}{
-		{liveness.ObstructionFreedom, liveness.CheckObstructionFreedom},
-		{liveness.LivelockFreedom, liveness.CheckLivelockFreedom},
-		{liveness.WaitFreedom, liveness.CheckWaitFreedom},
-	} {
-		checkDone := phaseFn(cfg, "check:"+c.prop.Key())
-		checks = append(checks, checkFromLiveness(c.check(ts)))
-		checkDone()
-	}
-	checks[0].BuildTMNS = buildElapsed.Nanoseconds()
-	checks[0].Resumed = ts.Resumed
-	res.Checks = checks
+	res.Checks = checksFromRow(row)
 	return nil
 }
 
-func runTable2(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
+func runTable2(sp Spec, opts explore.Options, res *Result) error {
 	systems := safety.PaperSystems(sp.Threads, sp.Vars)
 	if sp.Ext {
 		for _, name := range []string{"norec", "etl", "2pl-noreadlock", "dstm-novalidate"} {
@@ -240,38 +194,24 @@ func runTable2(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, 
 			systems = append(systems, safety.System{Alg: alg})
 		}
 	}
-	rows := safety.Table2(systems, safety.Options{
-		Workers:   sp.Workers,
-		MaxStates: sp.MaxStates,
-		MaxMem:    sp.MaxMem,
-		Engine:    engine,
-		Ctx:       ctx,
-		NoPhases:  cfg.NoPhases,
-		Persist:   prov,
-	})
-	for _, row := range rows {
+	for _, row := range safety.Table2(systems, opts) {
 		res.Checks = append(res.Checks, checkFromSafety(row.SS), checkFromSafety(row.OP))
 	}
 	return nil
 }
 
-func runTable3(ctx context.Context, sp Spec, cfg Config, engine explore.Engine, prov explore.PersistProvider, res *Result) error {
-	systems := liveness.PaperSystems(sp.Threads, sp.Vars)
-	rows := liveness.Table3(systems, liveness.Options{
-		Workers:   sp.Workers,
-		Engine:    engine,
-		MaxStates: sp.MaxStates,
-		MaxMem:    sp.MaxMem,
-		Ctx:       ctx,
-		NoPhases:  cfg.NoPhases,
-		Persist:   prov,
-	})
-	for _, row := range rows {
-		res.Checks = append(res.Checks,
-			checkFromLiveness(row.Obstruction),
-			checkFromLiveness(row.Livelock),
-			checkFromLiveness(row.Wait),
-		)
+func runTable3(sp Spec, opts explore.Options, res *Result) error {
+	for _, row := range liveness.Table3(liveness.PaperSystems(sp.Threads, sp.Vars), opts) {
+		res.Checks = append(res.Checks, checksFromRow(row)...)
 	}
 	return nil
+}
+
+// checksFromRow converts one liveness row, in the Table 3 column order.
+func checksFromRow(row liveness.Table3Row) []Check {
+	return []Check{
+		checkFromLiveness(row.Obstruction),
+		checkFromLiveness(row.Livelock),
+		checkFromLiveness(row.Wait),
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -47,7 +48,8 @@ type Config struct {
 	// (base name only — clients don't choose server paths); "" refuses
 	// such Specs, so an operator must opt the daemon into disk writes.
 	// With a SnapDir the daemon also keeps a crash-recovery journal
-	// (jobs.journal) of in-flight jobs there.
+	// (jobs.journal) of in-flight jobs there. Start creates the
+	// directory when it is missing.
 	SnapDir string
 	// SnapSync and SnapBatch set the checkpoint fsync policy
 	// (-snap-sync) for every job this daemon runs; zero values keep
@@ -126,8 +128,14 @@ func New(cfg Config) *Server {
 
 // Start listens on addr (e.g. "127.0.0.1:7078", ":0" for an ephemeral
 // port) and begins accepting connections in the background. It returns
-// the bound address.
+// the bound address. A configured SnapDir is created first, if missing;
+// when that fails, Start returns the error without listening.
 func (s *Server) Start(addr string) (net.Addr, error) {
+	if s.cfg.SnapDir != "" {
+		if err := os.MkdirAll(s.cfg.SnapDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -419,3 +419,23 @@ func TestSnapDirConfinesPaths(t *testing.T) {
 		t.Errorf("resumed TMStates = %d, want %d", rres.Checks[0].TMStates, res.Checks[0].TMStates)
 	}
 }
+
+// TestSnapDirCreated: a daemon started on a snapshot directory that
+// does not exist yet creates it, so its crash-recovery journal and its
+// jobs' snapshots land there instead of failing to open.
+func TestSnapDirCreated(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	srv, addr := startServer(t, Config{Jobs: 1, SnapDir: dir})
+	c := dial(t, addr)
+	sp := job.Spec{Kind: job.KindSafety, TM: "seq", Prop: "op", Threads: 2, Vars: 1,
+		Engine: "materialized", Checkpoint: "c.snap"}
+	if res, err := c.Run(context.Background(), sp, nil); err != nil || !res.Checks[0].Holds {
+		t.Fatalf("checkpoint job: %v %+v", err, res)
+	}
+	srv.Close()
+	for _, name := range []string{journalName, "c.snap"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s not in the created snap dir: %v", name, err)
+		}
+	}
+}

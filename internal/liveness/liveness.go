@@ -18,14 +18,14 @@
 //     wait freedom implies livelock freedom, any livelock violation is
 //     also a wait-freedom violation.
 //
-// Two engines run the same search. The on-the-fly engine (onthefly.go)
-// unfolds the managed TM lazily through explore.ScanLevels and probes the
-// closed prefix for lassos at BFS level barriers, stopping at the first
-// violation; the materialized checks below replay the identical probe
-// schedule over the level prefixes of a built *explore.TS. Because the
-// numbering is canonical and the probe is a pure function of the prefix,
-// verdicts and lasso words are bit-identical across engines and worker
-// counts.
+// Two engines run the same probe loop (onthefly.go). The on-the-fly
+// engine feeds it the BFS level barriers of explore.ScanLevels, which
+// unfolds the managed TM lazily, and stops at the last property's first
+// violation; the materialized checks below feed it the same barrier
+// sequence, replayed over a built *explore.TS by explore.TS.Levels.
+// Because the numbering is canonical and the probe is a pure function
+// of the prefix, verdicts and lasso words are bit-identical across
+// engines and worker counts.
 package liveness
 
 import (
@@ -150,92 +150,101 @@ func CheckLivelockFreedom(ts *explore.TS) Result { return checkTS(ts, LivelockFr
 // committing t — other threads may commit inside the loop.
 func CheckWaitFreedom(ts *explore.TS) Result { return checkTS(ts, WaitFreedom) }
 
-// checkTS is the materialized engine: it replays the on-the-fly probe
-// schedule over the canonical BFS level prefixes of the built system.
-// Running the same pure lasso search on the same prefix sequence is what
-// makes the two engines' verdicts and lasso words bit-identical (the
-// first due prefix containing a violation determines the counterexample,
-// not the full graph) — TestLivenessEngineAgreement asserts it.
+// checkTS is the materialized engine: the on-the-fly engine's probe
+// loop over the barrier sequence explore.TS.Levels replays from the
+// built system. The same pure lasso search on the same prefix sequence
+// is what makes the two engines' verdicts and lasso words bit-identical
+// (the first due prefix containing a violation determines the
+// counterexample, not the full graph) — TestLivenessEngineAgreement
+// asserts it. TMStates reports the whole built system.
 func checkTS(ts *explore.TS, p Prop) Result {
-	start := time.Now()
-	res := newResult(ts, p)
-	threads := ts.Alg.Threads()
-	total := len(ts.Out)
-	// cum[L] counts the states in BFS levels 0..L; level L occupies the
-	// id range [cum[L-1], cum[L]) under the canonical numbering.
-	sizes := ts.LevelSizes()
-	cum := make([]int, len(sizes))
-	c := 0
-	for i, n := range sizes {
-		c += n
-		cum[i] = c
-	}
-	lastProbed := 0
-	last := len(cum) - 1
-	for k := 0; k <= last; k++ {
-		// The barrier sequence of ScanLevels: (cum[k], cum[k+1]) per
-		// level boundary, then a final (total, total).
-		expanded := cum[k] // cum[last] == total, so the last pair is (total, total)
-		interned := total
-		if k < last {
-			interned = cum[k+1]
-		}
-		final := expanded == interned
-		if !final && !probeDue(expanded, lastProbed) {
-			continue
-		}
-		lastProbed = expanded
-		res.Probes++
-		view := ts.Out
-		if !final {
-			view = make([][]explore.Edge, interned)
-			copy(view, ts.Out[:expanded])
-		}
-		if stem, loop := lassoSearch(view, threads, p); loop != nil {
-			res.Holds = false
-			res.Stem, res.Loop = stem, loop
-			res.Expanded = expanded
-			break
-		}
-	}
-	if res.Holds {
-		res.Expanded = total
-	}
-	res.Elapsed = time.Since(start)
+	pr := newProber(ts.System, explore.EngineMaterialized, []Prop{p})
+	// A replay has no guard, so the only error it can return is the
+	// probe loop's own errAllResolved stop.
+	_ = ts.Levels(pr.barrier)
+	res := pr.finish(nil)[0]
+	res.TMStates = ts.NumStates()
 	res.record()
 	return res
 }
 
-func newResult(ts *explore.TS, p Prop) Result {
-	return Result{
-		System:   ts.Name(),
-		Prop:     p,
-		Threads:  ts.Alg.Threads(),
-		Vars:     ts.Alg.Vars(),
-		TMStates: ts.NumStates(),
-		Holds:    true,
-		Engine:   explore.EngineMaterialized,
-	}
+// VerifyOpts checks obstruction, livelock and wait freedom of alg×cm
+// with the engine opts.Engine selects, failing fast: a resource limit
+// stops the check with its *guard.LimitError. On the fly, the three
+// properties share one scan, and the row returned with a limit keeps
+// the violations its probes found before the stop, marking the rest
+// with Result.Limit. Materialized, the system is built once, through
+// opts.Persist, and each property is checked on it; the build's time
+// and resumed states are charged to the first result.
+func VerifyOpts(alg tm.Algorithm, cm tm.ContentionManager, opts Options) (Table3Row, error) {
+	return verify(System{Alg: alg, CM: cm}, opts, !opts.NoPhases)
 }
 
-// record writes the per-system verdict counters and timings into the
-// obs registry, keyed "liveness.<system>.<prop>.*".
+// verify is VerifyOpts; stages opens the materialized engine's build-tm
+// and check:<prop> spans, which Table 3 rows run without.
+func verify(sys System, opts Options, stages bool) (Table3Row, error) {
+	if opts.Engine == explore.EngineOnTheFly {
+		res, err := checkLazy(sys.Alg, sys.CM, Props, opts.Guard(), !opts.NoPhases)
+		if len(res) != len(Props) {
+			return Table3Row{}, err
+		}
+		return Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]}, err
+	}
+	span := func(name string) func() {
+		if !stages {
+			return func() {}
+		}
+		return obs.Phase(name)
+	}
+	start := time.Now()
+	done := span("build-tm")
+	ts, err := explore.BuildGuarded(sys.Alg, sys.CM, opts.Guard(), opts.Persist)
+	done()
+	if err != nil {
+		return Table3Row{}, err
+	}
+	buildElapsed := time.Since(start)
+	var res [3]Result
+	for i, p := range Props {
+		done := span("check:" + p.Key())
+		res[i] = checkTS(ts, p)
+		done()
+	}
+	res[0].BuildElapsed, res[0].Resumed = buildElapsed, ts.Resumed
+	return Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]}, nil
+}
+
+// record writes one check's vitals into the obs registry, keyed
+// "liveness.<system>.<prop>.*" for the materialized engine and
+// "liveness.<system>.<prop>.otf.*" for the on-the-fly one: states
+// constructed and expanded at the verdict (compare the two engines'
+// tm_states to see the early-exit win), probes run, the lasso's shape
+// or the limit that stopped the check, and its wall-clock (a "check"
+// timer, or "search" on the fly, where exploration and probing are
+// interleaved).
 func (r Result) record() {
 	if !obs.Enabled() {
 		return
 	}
-	key := "liveness." + r.System + "." + r.Prop.Key()
+	key, timer := "liveness."+r.System+"."+r.Prop.Key(), ".check"
+	if r.Engine == explore.EngineOnTheFly {
+		key, timer = key+".otf", ".search"
+	}
 	obs.Inc(key+".checks", 1)
 	obs.SetGauge(key+".tm_states", int64(r.TMStates))
 	obs.SetGauge(key+".expanded", int64(r.Expanded))
-	if r.Probes > 0 {
+	// Only a limit stops a probing check before its first probe; the
+	// full-graph checks of streett.go run none.
+	if r.Probes > 0 || r.Limit != nil {
 		obs.Inc(key+".probes", int64(r.Probes))
 	}
-	if !r.Holds {
+	if r.Limit != nil {
+		obs.Inc(key+".limited", 1)
+	} else if !r.Holds {
 		obs.SetGauge(key+".loop_len", int64(len(r.Loop)))
 		obs.SetGauge(key+".stem_len", int64(len(r.Stem)))
 	}
-	obs.AddTime(key+".check", r.Elapsed)
+	obs.AddTime(key+timer, r.Elapsed)
 }
 
 // Table3Row pairs the obstruction- and livelock-freedom verdicts for one
@@ -247,10 +256,7 @@ type Table3Row struct {
 }
 
 // System is a TM algorithm with an optional contention manager.
-type System struct {
-	Alg tm.Algorithm
-	CM  tm.ContentionManager
-}
+type System = explore.System
 
 // PaperSystems returns the four systems of the paper's Table 3 at (n, k):
 // sequential and 2PL without a manager, DSTM with the aggressive manager,

@@ -1,7 +1,6 @@
 package liveness
 
 import (
-	"context"
 	"errors"
 	"strconv"
 	"time"
@@ -13,11 +12,12 @@ import (
 	"tmcheck/internal/tm"
 )
 
-// This file is the on-the-fly liveness engine: instead of materializing
-// the full managed-TM transition system and then hunting for lassos, it
-// drives the explore.ScanLevels scan and probes the closed prefix for
-// violating loops at BFS level barriers. Any loop (plus its stem) found
-// in a prefix uses only real edges of the full system, so reporting it
+// This file holds the probe loop both liveness engines run, and the
+// on-the-fly engine around it: instead of materializing the full
+// managed-TM transition system and then hunting for lassos, it drives
+// the explore.ScanLevels scan and probes the closed prefix for violating
+// loops at BFS level barriers. Any loop (plus its stem) found in a
+// prefix uses only real edges of the full system, so reporting it
 // immediately is sound; a property can only be declared to HOLD at the
 // fixpoint, which the final barrier always probes.
 //
@@ -26,7 +26,7 @@ import (
 // explore.Barrier), probeDue picks barriers from that sequence alone,
 // and the lasso search is a pure function of the prefix — so the first
 // violating (prefix, lasso) pair is identical everywhere, and the
-// materialized checkTS replays the exact same schedule.
+// materialized checkTS runs the same loop over explore.TS.Levels.
 
 // probeDue is the geometric probe schedule shared by both engines:
 // probe the first barrier, then again whenever the expanded prefix has
@@ -65,242 +65,187 @@ func lassoSearch(out [][]explore.Edge, threads int, p Prop) (stem, loop []explor
 	return nil, nil
 }
 
-// Options configures CheckOnTheFlyOpts, CheckAllOnTheFlyOpts and
-// Table3.
-type Options struct {
-	// Workers is the worker count; <= 0 means GOMAXPROCS. Table3 fans
-	// its rows out over a pool of Workers goroutines; every check runs
-	// one sequential scan, so CheckOnTheFlyOpts and CheckAllOnTheFlyOpts
-	// ignore it. Verdicts and lasso words are identical for every value.
-	Workers int
-	// Engine selects Table3's engine; the zero value is
-	// EngineMaterialized. CheckOnTheFlyOpts and CheckAllOnTheFlyOpts
-	// name their engine and ignore it.
-	Engine explore.Engine
-	// MaxStates bounds the states interned; <= 0 means unbounded. A
-	// blown budget fails the check with a *guard.LimitError.
-	MaxStates int
-	// MaxMem is the heap cap in bytes; 0 means uncapped.
-	MaxMem uint64
-	// Ctx carries the check's deadline and cancellation; nil means no
-	// deadline. The scan consults it at the same points where it checks
-	// the state budget.
-	Ctx context.Context
-	// NoPhases suppresses the obs phase spans (the phase stack assumes a
-	// single-threaded spine); counters and bus events still record.
-	// Front-ends running checks concurrently (tmcheckd) set it.
-	NoPhases bool
-	// Persist supplies checkpoint/resume and disk-spill wiring for the
-	// TM exploration (see explore.PersistProvider); nil runs plain.
-	// Honored by the materialized Table 3 driver only — the on-the-fly
-	// engine does not intern a resumable prefix.
-	Persist explore.PersistProvider
+// prober is the probe loop of both engines. Its barrier method takes
+// the barrier sequence of explore.ScanLevels or explore.TS.Levels, runs
+// the probeDue schedule over it, and searches each due prefix for every
+// unresolved property's lasso; a property resolves at its first
+// violation, and the loop stops once every property has.
+type prober struct {
+	sys       System
+	engine    explore.Engine
+	props     []Prop
+	results   []Result
+	resolved  []bool
+	remaining int
+	// probes counts the probes run, lastProbed is the expanded count of
+	// the last one, and interned the states interned at the last
+	// barrier.
+	probes, lastProbed, interned int
+	start                        time.Time
+	events                       bool // publish an EvViolation per resolved property
+	pad                          [][]explore.Edge
 }
 
-// guard builds one check's guard from the options.
-func (opts Options) guard() *guard.Guard {
-	return guard.New(opts.Ctx, opts.MaxStates, opts.MaxMem)
+func newProber(sys System, engine explore.Engine, props []Prop) *prober {
+	return &prober{
+		sys: sys, engine: engine, props: props,
+		results: make([]Result, len(props)), resolved: make([]bool, len(props)),
+		remaining: len(props), interned: 1, start: time.Now(),
+		events: engine == explore.EngineOnTheFly && obs.EventsEnabled(),
+	}
 }
+
+// result is property i's Result as of the last barrier, unresolved.
+func (pr *prober) result(i int) Result {
+	return Result{
+		System: pr.sys.Name(), Prop: pr.props[i],
+		Threads: pr.sys.Alg.Threads(), Vars: pr.sys.Alg.Vars(),
+		TMStates: pr.interned, Elapsed: time.Since(pr.start),
+		Engine: pr.engine, Probes: pr.probes,
+	}
+}
+
+// barrier is the explore.Barrier of the probe loop.
+func (pr *prober) barrier(out [][]explore.Edge, interned, expanded int) error {
+	pr.interned = interned
+	final := expanded == interned
+	if !final && !probeDue(expanded, pr.lastProbed) {
+		return nil
+	}
+	pr.lastProbed = expanded
+	pr.probes++
+	view := out
+	if len(view) < interned {
+		// The barrier hands over only the expanded prefix; pad the
+		// discovered-but-unexpanded tail with edgeless states so every
+		// edge target is in range.
+		pr.pad = append(pr.pad[:0], out...)
+		for len(pr.pad) < interned {
+			pr.pad = append(pr.pad, nil)
+		}
+		view = pr.pad
+	}
+	for i, p := range pr.props {
+		if pr.resolved[i] {
+			continue
+		}
+		stem, loop := lassoSearch(view, pr.sys.Alg.Threads(), p)
+		if loop == nil {
+			continue
+		}
+		pr.resolved[i] = true
+		pr.remaining--
+		res := pr.result(i)
+		res.Stem, res.Loop, res.Expanded = stem, loop, expanded
+		pr.results[i] = res
+		if pr.events {
+			obs.Emit(obs.Event{
+				Kind: obs.EvViolation, Name: pr.sys.Name() + ":" + p.Key(),
+				States: int64(interned),
+				Detail: "lasso found: stem " + strconv.Itoa(len(stem)) +
+					", loop " + strconv.Itoa(len(loop)),
+			})
+		}
+	}
+	if pr.remaining == 0 {
+		return errAllResolved
+	}
+	return nil
+}
+
+// finish settles the properties no probe found a violation of: they
+// hold at the fixpoint, or carry le when a limit stopped the loop
+// first.
+func (pr *prober) finish(le *guard.LimitError) []Result {
+	for i := range pr.props {
+		if pr.resolved[i] {
+			continue
+		}
+		res := pr.result(i)
+		if le != nil {
+			res.Expanded, res.Limit = pr.lastProbed, le
+		} else {
+			res.Holds, res.Expanded = true, pr.interned
+		}
+		pr.results[i] = res
+	}
+	return pr.results
+}
+
+// Options configures VerifyOpts, CheckOnTheFlyOpts,
+// CheckAllOnTheFlyOpts and Table3 (see explore.Options).
+type Options = explore.Options
 
 // CheckOnTheFlyOpts checks one liveness property with the on-the-fly
 // engine.
 func CheckOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, p Prop, opts Options) (Result, error) {
-	res, err := checkLazy(alg, cm, []Prop{p}, opts.guard(), !opts.NoPhases)
-	if err != nil {
-		if len(res) == 1 {
-			// Partial outcome: the property may have resolved (a real
-			// violation) before the limit tripped, or carries the limit
-			// in Result.Limit. The error still reports the stop.
-			return res[0], err
-		}
+	res, err := checkLazy(alg, cm, []Prop{p}, opts.Guard(), !opts.NoPhases)
+	if len(res) != 1 {
 		return Result{}, err
 	}
-	return res[0], nil
+	// With a limit, the property may have resolved (a real violation)
+	// before it tripped, or carries it in Result.Limit; the error still
+	// reports the stop.
+	return res[0], err
 }
 
-// CheckAllOnTheFlyOpts checks all three properties over a single shared
-// exploration: each property resolves (fails) at its own probe, and the
-// scan stops early once every property has a violation. Results equal
-// three independent CheckOnTheFlyOpts calls.
+// CheckAllOnTheFlyOpts is VerifyOpts on the on-the-fly engine, whatever
+// opts.Engine says: all three properties over one shared exploration,
+// each resolving (failing) at its own probe. Results equal three
+// independent CheckOnTheFlyOpts calls.
 func CheckAllOnTheFlyOpts(alg tm.Algorithm, cm tm.ContentionManager, opts Options) (Table3Row, error) {
-	res, err := checkLazy(alg, cm, Props, opts.guard(), !opts.NoPhases)
-	if err != nil {
-		if len(res) == 3 {
-			// Partial outcome: resolved properties keep their violations,
-			// unresolved ones carry the limit in Result.Limit.
-			return Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]}, err
-		}
-		return Table3Row{}, err
-	}
-	return Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]}, nil
+	opts.Engine = explore.EngineOnTheFly
+	return VerifyOpts(alg, cm, opts)
 }
 
-// errAllResolved stops the lazy scan once every property has found its
-// violation — exploring further could not change any verdict.
+// errAllResolved stops the probe loop once every property has found
+// its violation — exploring further could not change any verdict.
 var errAllResolved = errors.New("liveness: all properties resolved")
 
-// checkLazy is the engine core: one lazy exploration, probing every
-// unresolved property at the scheduled barriers. phase=false suppresses
-// the obs span for callers off the single-threaded spine.
+// checkLazy is the on-the-fly engine: one lazy exploration, probing
+// every unresolved property at the scheduled barriers. phase=false
+// suppresses the obs span for callers off the single-threaded spine.
 //
 // When the guard stops the scan, properties already resolved keep their
 // violation Results; the unresolved ones carry the *guard.LimitError in
 // Result.Limit. The partial results are returned together with the
 // error, so keep-going drivers render exactly what was learned.
 func checkLazy(alg tm.Algorithm, cm tm.ContentionManager, props []Prop, g *guard.Guard, phase bool) ([]Result, error) {
-	name := systemName(alg, cm)
+	pr := newProber(System{Alg: alg, CM: cm}, explore.EngineOnTheFly, props)
+	name := "liveness-otf:" + pr.sys.Name()
 	if phase {
-		done := obs.Phase("liveness-otf:" + name)
-		defer done()
+		defer obs.Phase(name)()
 	}
-	start := time.Now()
-	events := obs.EventsEnabled()
-	if events {
-		obs.Emit(obs.Event{Kind: obs.EvCheckStart, Name: "liveness-otf:" + name})
+	if pr.events {
+		obs.Emit(obs.Event{Kind: obs.EvCheckStart, Name: name})
 	}
-	threads := alg.Threads()
-	results := make([]Result, len(props))
-	resolved := make([]bool, len(props))
-	remaining := len(props)
-	probes := 0
-	lastProbed := 0
-	finalStates := 1
 	emitDone := func(detail string) {
-		if events {
+		if pr.events {
 			obs.Emit(obs.Event{
-				Kind: obs.EvCheckDone, Name: "liveness-otf:" + name,
-				States: int64(finalStates), DurNS: time.Since(start).Nanoseconds(),
+				Kind: obs.EvCheckDone, Name: name,
+				States: int64(pr.interned), DurNS: time.Since(pr.start).Nanoseconds(),
 				Detail: detail,
 			})
 		}
 	}
-	var pad [][]explore.Edge
-	barrier := func(out [][]explore.Edge, interned, expanded int) error {
-		finalStates = interned
-		final := expanded == interned
-		if !final && !probeDue(expanded, lastProbed) {
-			return nil
-		}
-		lastProbed = expanded
-		probes++
-		view := out
-		if len(view) < interned {
-			// The scan hands over only the expanded prefix; pad the
-			// discovered-but-unexpanded tail with edgeless states so
-			// every edge target is in range.
-			pad = append(pad[:0], out...)
-			for len(pad) < interned {
-				pad = append(pad, nil)
-			}
-			view = pad
-		}
-		for i, p := range props {
-			if resolved[i] {
-				continue
-			}
-			stem, loop := lassoSearch(view, threads, p)
-			if loop == nil {
-				continue
-			}
-			resolved[i] = true
-			remaining--
-			results[i] = Result{
-				System: name, Prop: p, Threads: threads, Vars: alg.Vars(),
-				TMStates: interned, Holds: false, Stem: stem, Loop: loop,
-				Elapsed: time.Since(start), Engine: explore.EngineOnTheFly,
-				Expanded: expanded, Probes: probes,
-			}
-			if events {
-				obs.Emit(obs.Event{
-					Kind: obs.EvViolation, Name: name + ":" + p.Key(),
-					States: int64(interned),
-					Detail: "lasso found: stem " + strconv.Itoa(len(stem)) +
-						", loop " + strconv.Itoa(len(loop)),
-				})
-			}
-		}
-		if remaining == 0 {
-			return errAllResolved
-		}
-		return nil
+	err := explore.ScanLevels(alg, cm, g, pr.barrier)
+	var le *guard.LimitError
+	if err != nil && !errors.Is(err, errAllResolved) && !errors.As(err, &le) {
+		emitDone("ERROR: " + err.Error())
+		return nil, err
 	}
-	if err := explore.ScanLevels(alg, cm, g, barrier); err != nil && !errors.Is(err, errAllResolved) {
-		var le *guard.LimitError
-		if !errors.As(err, &le) {
-			emitDone("ERROR: " + err.Error())
-			return nil, err
-		}
-		// Limited scan: resolved properties keep their violations, the
-		// rest are marked limited at the states reached.
-		for i, p := range props {
-			if resolved[i] {
-				continue
-			}
-			results[i] = Result{
-				System: name, Prop: p, Threads: threads, Vars: alg.Vars(),
-				TMStates: finalStates,
-				Elapsed:  time.Since(start), Engine: explore.EngineOnTheFly,
-				Expanded: lastProbed, Probes: probes, Limit: le,
-			}
-		}
-		for i := range results {
-			results[i].recordOTF()
-		}
-		emitDone("LIMIT: " + le.Error())
-		return results, err
-	}
-	for i, p := range props {
-		if resolved[i] {
-			continue
-		}
-		results[i] = Result{
-			System: name, Prop: p, Threads: threads, Vars: alg.Vars(),
-			TMStates: finalStates, Holds: true,
-			Elapsed: time.Since(start), Engine: explore.EngineOnTheFly,
-			Expanded: finalStates, Probes: probes,
-		}
-	}
-	for i := range results {
-		results[i].recordOTF()
-	}
+	results := pr.finish(le)
 	violated := 0
 	for i := range results {
+		results[i].record()
 		if !results[i].Holds {
 			violated++
 		}
 	}
+	if le != nil {
+		emitDone("LIMIT: " + le.Error())
+		return results, err
+	}
 	emitDone(strconv.Itoa(len(props)-violated) + "/" + strconv.Itoa(len(props)) + " hold")
 	return results, nil
-}
-
-// recordOTF writes the on-the-fly vitals into the obs registry, keyed
-// "liveness.<system>.<prop>.otf.*": states constructed and expanded at
-// the verdict (compare against the materialized "liveness.<system>.
-// <prop>.tm_states" to see the early-exit win), probes run, and the
-// search wall-clock (exploration and probing are interleaved, so the
-// whole check is one timer).
-func (r Result) recordOTF() {
-	if !obs.Enabled() {
-		return
-	}
-	key := "liveness." + r.System + "." + r.Prop.Key() + ".otf"
-	obs.Inc(key+".checks", 1)
-	obs.SetGauge(key+".tm_states", int64(r.TMStates))
-	obs.SetGauge(key+".expanded", int64(r.Expanded))
-	obs.Inc(key+".probes", int64(r.Probes))
-	if r.Limit != nil {
-		obs.Inc(key+".limited", 1)
-	} else if !r.Holds {
-		obs.SetGauge(key+".loop_len", int64(len(r.Loop)))
-		obs.SetGauge(key+".stem_len", int64(len(r.Stem)))
-	}
-	obs.AddTime(key+".search", r.Elapsed)
-}
-
-// systemName names the system without constructing anything.
-func systemName(alg tm.Algorithm, cm tm.ContentionManager) string {
-	if cm == nil {
-		return alg.Name()
-	}
-	return alg.Name() + "+" + cm.Name()
 }

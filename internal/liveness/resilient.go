@@ -12,13 +12,13 @@ import (
 
 // Table3 reproduces the paper's Table 3 on the given systems with the
 // engine opts.Engine selects: each row checks obstruction, livelock and
-// wait freedom. It keeps going: every row runs under the options' context,
-// state budget and heap cap, and a row that hits a limit — or panics
-// inside the TM algorithm — reports what it learned instead of
-// aborting the table. With the on-the-fly engine a limited row keeps
-// the violations its probes found before the stop and marks only the
-// unresolved properties with Result.Limit; with the materialized
-// engine a limited build marks all three.
+// wait freedom through VerifyOpts. It keeps going: every row runs under
+// the options' context, state budget and heap cap, and a row that hits
+// a limit — or panics inside the TM algorithm — reports what it learned
+// instead of aborting the table. With the on-the-fly engine a limited
+// row keeps the violations its probes found before the stop and marks
+// only the unresolved properties with Result.Limit; with the
+// materialized engine a limited build marks all three.
 //
 // Each row explores on one sequential scan, and with more than one
 // worker the rows fan out over the pool, so rows are bit-identical for
@@ -26,55 +26,31 @@ import (
 // spine; the phase stack assumes a single thread.
 func Table3(systems []System, opts Options) []Table3Row {
 	workers := parbfs.ResolveWorkers(opts.Workers)
-	phase := !opts.NoPhases
 	if workers > 1 && len(systems) > 1 {
-		if phase {
-			name := "liveness:table3-onthefly-parallel"
-			if opts.Engine == explore.EngineMaterialized {
-				name = "liveness:table3-parallel"
-			}
-			done := obs.Phase(name)
-			defer done()
+		if !opts.NoPhases {
+			defer obs.Phase(parallelPhase[opts.Engine])()
 		}
-		phase = false
+		opts.NoPhases = true
 	}
 	rows := make([]Table3Row, len(systems))
 	parbfs.For(len(systems), workers, func(i int) {
-		rows[i] = table3Row(systems[i], phase, opts)
+		start := time.Now()
+		row, err := verify(systems[i], opts, false)
+		if err != nil && row.Obstruction.System == "" {
+			// Nothing resolved before the stop (a limited build, or an
+			// error that is no limit): every cell is limited.
+			row = limitedRow(systems[i], opts.Engine, time.Since(start), err)
+		}
+		recordDriverRow3(row)
+		rows[i] = row
 	})
 	return rows
 }
 
-// table3Row runs one guarded row with the engine opts.Engine selects.
-func table3Row(sys System, phase bool, opts Options) Table3Row {
-	g := opts.guard()
-	if opts.Engine == explore.EngineOnTheFly {
-		res, err := checkLazy(sys.Alg, sys.CM, Props, g, phase)
-		if err != nil && len(res) != 3 {
-			// No partials to keep (a non-limit error): every cell limited.
-			return limitedRow(sys, explore.EngineOnTheFly, 0, err)
-		}
-		row := Table3Row{Obstruction: res[0], Livelock: res[1], Wait: res[2]}
-		recordDriverRow3(row)
-		return row
-	}
-	buildStart := time.Now()
-	ts, err := explore.BuildGuarded(sys.Alg, sys.CM, g, opts.Persist)
-	buildElapsed := time.Since(buildStart)
-	if err != nil {
-		row := limitedRow(sys, explore.EngineMaterialized, buildElapsed, err)
-		recordDriverRow3(row)
-		return row
-	}
-	row := Table3Row{
-		Obstruction: CheckObstructionFreedom(ts),
-		Livelock:    CheckLivelockFreedom(ts),
-		Wait:        CheckWaitFreedom(ts),
-	}
-	row.Obstruction.BuildElapsed = buildElapsed
-	row.Obstruction.Resumed = ts.Resumed
-	recordDriverRow3(row)
-	return row
+// parallelPhase names Table3's span, by engine, when its rows fan out.
+var parallelPhase = [...]string{
+	explore.EngineMaterialized: "liveness:table3-parallel",
+	explore.EngineOnTheFly:     "liveness:table3-onthefly-parallel",
 }
 
 // limitedRow marks all three properties of one system limited.
@@ -85,7 +61,7 @@ func limitedRow(sys System, engine explore.Engine, elapsed time.Duration, err er
 	}
 	cell := func(p Prop) Result {
 		return Result{
-			System:   systemName(sys.Alg, sys.CM),
+			System:   sys.Name(),
 			Prop:     p,
 			Threads:  sys.Alg.Threads(),
 			Vars:     sys.Alg.Vars(),

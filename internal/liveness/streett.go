@@ -411,50 +411,29 @@ func stemTo(out [][]explore.Edge, dst int32) []explore.Edge {
 // independent backend the probe-based CheckObstructionFreedom is
 // cross-validated against in the tests.
 func CheckObstructionFreedomStreett(ts *explore.TS) Result {
-	start := time.Now()
-	res := newResult(ts, ObstructionFreedom)
-	for t := core.Thread(0); int(t) < ts.Alg.Threads(); t++ {
-		restrict, require := obstructionStreett(t)
-		if stem, loop := FindStreettRun(ts.Out, restrict, nil, require); loop != nil {
-			res.Holds = false
-			res.Stem, res.Loop = stem, loop
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	res.record()
-	return res
+	return checkFullGraph(ts, ObstructionFreedom)
 }
 
 // CheckLivelockFreedomStreett is the single full-graph Streett query for
 // livelock freedom; see CheckObstructionFreedomStreett.
 func CheckLivelockFreedomStreett(ts *explore.TS) Result {
-	start := time.Now()
-	res := newResult(ts, LivelockFreedom)
-	restrict, pairs, require := livelockStreett(ts.Alg.Threads())
-	if stem, loop := FindStreettRun(ts.Out, restrict, pairs, require); loop != nil {
-		res.Holds = false
-		res.Stem, res.Loop = stem, loop
-	}
-	res.Elapsed = time.Since(start)
-	res.record()
-	return res
+	return checkFullGraph(ts, LivelockFreedom)
 }
 
 // CheckWaitFreedomStreett is the single full-graph Streett query for
 // wait freedom; see CheckObstructionFreedomStreett.
-func CheckWaitFreedomStreett(ts *explore.TS) Result {
+func CheckWaitFreedomStreett(ts *explore.TS) Result { return checkFullGraph(ts, WaitFreedom) }
+
+// checkFullGraph runs one property's lasso search once, on the whole
+// built graph; the result reports no probes and no expanded prefix.
+func checkFullGraph(ts *explore.TS, p Prop) Result {
 	start := time.Now()
-	res := newResult(ts, WaitFreedom)
-	for t := core.Thread(0); int(t) < ts.Alg.Threads(); t++ {
-		restrict, require := waitStreett(t)
-		if stem, loop := FindStreettRun(ts.Out, restrict, nil, require); loop != nil {
-			res.Holds = false
-			res.Stem, res.Loop = stem, loop
-			break
-		}
+	stem, loop := lassoSearch(ts.Out, ts.Alg.Threads(), p)
+	res := Result{
+		System: ts.Name(), Prop: p, Threads: ts.Alg.Threads(), Vars: ts.Alg.Vars(),
+		TMStates: ts.NumStates(), Holds: loop == nil, Stem: stem, Loop: loop,
+		Elapsed: time.Since(start), Engine: explore.EngineMaterialized,
 	}
-	res.Elapsed = time.Since(start)
 	res.record()
 	return res
 }

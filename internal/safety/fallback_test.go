@@ -54,7 +54,7 @@ func TestOnTheFlyFallbackMatchesPacked(t *testing.T) {
 			var want Result
 			for i, v := range variants(sys) {
 				for _, workers := range []int{1, 4} {
-					label := fmt.Sprintf("%s %s variant #%d w=%d", systemName(sys.Alg, sys.CM), prop.Key(), i, workers)
+					label := fmt.Sprintf("%s %s variant #%d w=%d", sys.Name(), prop.Key(), i, workers)
 					got, err := VerifyOpts(v.Alg, v.CM, prop, Options{Workers: workers, Engine: EngineOnTheFly})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)

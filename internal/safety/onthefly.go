@@ -1,7 +1,6 @@
 package safety
 
 import (
-	"context"
 	"errors"
 	"strconv"
 	"time"
@@ -35,41 +34,8 @@ const (
 	EngineOnTheFly     = explore.EngineOnTheFly
 )
 
-// Options configures VerifyOpts and Table2.
-type Options struct {
-	// Workers is the worker count; <= 0 means GOMAXPROCS. Above one,
-	// the on-the-fly search expands TM states ahead of its product loop
-	// on Workers-1 helper goroutines, and Table2's on-the-fly rows fan
-	// out over a pool of Workers goroutines. The materialized engine
-	// runs its one sequential loop at every count. Every Result field
-	// but the elapsed times is the same at every count.
-	Workers int
-	// MaxStates bounds the total states constructed (see VerifyOpts);
-	// <= 0 means unbounded.
-	MaxStates int
-	// MaxMem is the heap cap in bytes; 0 means uncapped.
-	MaxMem uint64
-	// Engine selects the pipeline; the zero value is EngineMaterialized.
-	Engine Engine
-	// Ctx carries the check's deadline and cancellation; nil means no
-	// deadline. The engines consult it at the same points where they
-	// check the state budget.
-	Ctx context.Context
-	// NoPhases suppresses the obs phase spans (the phase stack assumes a
-	// single-threaded spine); counters and bus events still record.
-	// Front-ends running checks concurrently (tmcheckd) set it.
-	NoPhases bool
-	// Persist supplies checkpoint/resume and disk-spill wiring for the
-	// TM exploration (see explore.PersistProvider); nil runs plain.
-	// Only the materialized engine interns the canonical prefix a
-	// snapshot records, so setting this with EngineOnTheFly is an error.
-	Persist explore.PersistProvider
-}
-
-// guard builds one check's guard from the options.
-func (opts Options) guard() *guard.Guard {
-	return guard.New(opts.Ctx, opts.MaxStates, opts.MaxMem)
-}
+// Options configures VerifyOpts and Table2 (see explore.Options).
+type Options = explore.Options
 
 // VerifyOpts checks L(alg×cm) ⊆ L(Σd prop) with the selected engine.
 //
@@ -87,7 +53,7 @@ func (opts Options) guard() *guard.Guard {
 // in the same order (TestEngineAgreement asserts this across the
 // registry).
 func VerifyOpts(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, opts Options) (Result, error) {
-	g := opts.guard()
+	g := opts.Guard()
 	if opts.Engine == EngineOnTheFly {
 		if opts.Persist != nil {
 			return Result{}, errors.New("safety: checkpoint/resume requires the materialized engine (the on-the-fly product does not intern a resumable prefix)")
@@ -133,7 +99,7 @@ func checkEvents(name string) func(res Result, err error) {
 // shared across all three unchanged). phase=false suppresses the obs
 // span for callers off the single-threaded spine.
 func verifyMaterialized(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, g *guard.Guard, phase bool, prov explore.PersistProvider) (res Result, err error) {
-	fin := checkEvents("dfa:" + systemName(alg, cm) + ":" + prop.Key())
+	fin := checkEvents("dfa:" + explore.System{Alg: alg, CM: cm}.Name() + ":" + prop.Key())
 	defer func() { fin(res, err) }()
 	maxStates := g.MaxStates()
 	buildStart := time.Now()
@@ -183,7 +149,7 @@ func chargeStates(err error, maxStates, already int) error {
 // the fixpoint. phase=false suppresses the obs span for callers off the
 // single-threaded spine.
 func checkOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, workers int, g *guard.Guard, phase bool) (Result, error) {
-	name := "otf:" + systemName(alg, cm) + ":" + prop.Key()
+	name := "otf:" + explore.System{Alg: alg, CM: cm}.Name() + ":" + prop.Key()
 	fin := checkEvents(name)
 	var res Result
 	start := time.Now()
@@ -230,7 +196,7 @@ func searchProduct(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 		return Result{}, err
 	}
 	res := Result{
-		System:       systemName(alg, cm),
+		System:       explore.System{Alg: alg, CM: cm}.Name(),
 		Prop:         prop,
 		Threads:      alg.Threads(),
 		Vars:         alg.Vars(),
@@ -245,14 +211,6 @@ func searchProduct(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 		res.Counterexample = core.Alphabet{Threads: alg.Threads(), Vars: alg.Vars()}.DecodeWord(r.Cex)
 	}
 	return res, nil
-}
-
-// systemName names the system without constructing anything.
-func systemName(alg tm.Algorithm, cm tm.ContentionManager) string {
-	if cm == nil {
-		return alg.Name()
-	}
-	return alg.Name() + "+" + cm.Name()
 }
 
 // recordOTF writes the on-the-fly vitals into the obs registry, keyed

@@ -106,7 +106,7 @@ func TestOnTheFlyMatchesReferenceBFS(t *testing.T) {
 		}
 		want := referenceBFS(alg, cm, c.prop)
 		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("%s %s (%d,%d) w=%d", systemName(alg, cm), c.prop.Key(), c.n, c.k, workers)
+			label := fmt.Sprintf("%s %s (%d,%d) w=%d", explore.System{Alg: alg, CM: cm}.Name(), c.prop.Key(), c.n, c.k, workers)
 			res, err := VerifyOpts(alg, cm, c.prop, Options{Workers: workers, Engine: EngineOnTheFly})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

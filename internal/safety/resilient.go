@@ -39,7 +39,7 @@ func limitedResult(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 		le = &guard.LimitError{Kind: guard.KindPanic, Value: err}
 	}
 	return Result{
-		System:   systemName(alg, cm),
+		System:   explore.System{Alg: alg, CM: cm}.Name(),
 		Prop:     prop,
 		Threads:  alg.Threads(),
 		Vars:     alg.Vars(),
@@ -100,7 +100,7 @@ func table2OnTheFly(systems []System, workers int, opts Options) []Table2Row {
 		sys := systems[i]
 		check := func(prop spec.Property) Result {
 			return resilientCheck(func() (Result, error) {
-				return checkOnTheFly(sys.Alg, sys.CM, prop, 1, opts.guard(), phase)
+				return checkOnTheFly(sys.Alg, sys.CM, prop, 1, opts.Guard(), phase)
 			}, sys.Alg, sys.CM, prop, EngineOnTheFly)
 		}
 		rows[i] = Table2Row{SS: check(spec.StrictSerializability), OP: check(spec.Opacity)}
@@ -130,7 +130,7 @@ func table2Materialized(systems []System, opts Options) []Table2Row {
 		}
 		return rows
 	}
-	// Unbudgeted from here on: opts.guard() carries a zero state budget
+	// Unbudgeted from here on: opts.Guard() carries a zero state budget
 	// (plus the context and heap watchdog) through every stage.
 	pf := func(name string) func() {
 		if opts.NoPhases {
@@ -155,7 +155,7 @@ func table2Materialized(systems []System, opts Options) []Table2Row {
 		done := pf("build-spec:" + prop.Key())
 		defer done()
 		start := time.Now()
-		d, err := spec.NewDet(prop, n, k).EnumerateGuarded(opts.guard())
+		d, err := spec.NewDet(prop, n, k).EnumerateGuarded(opts.Guard())
 		if err != nil {
 			return nil, time.Since(start), err
 		}
@@ -165,11 +165,11 @@ func table2Materialized(systems []System, opts Options) []Table2Row {
 
 	rows := make([]Table2Row, 0, len(systems))
 	for _, sys := range systems {
-		name := systemName(sys.Alg, sys.CM)
+		name := sys.Name()
 		doneSys := pf("safety:" + name)
 		doneBuild := pf("build-tm")
 		buildStart := time.Now()
-		ts, buildErr := explore.BuildGuarded(sys.Alg, sys.CM, opts.guard(), opts.Persist)
+		ts, buildErr := explore.BuildGuarded(sys.Alg, sys.CM, opts.Guard(), opts.Persist)
 		buildElapsed := time.Since(buildStart)
 		doneBuild()
 		if buildErr != nil {
@@ -191,7 +191,7 @@ func table2Materialized(systems []System, opts Options) []Table2Row {
 				if err != nil {
 					return Result{}, err
 				}
-				res, err := checkAgainstDFAGuarded(ts, prop, dfa, opts.guard(), !opts.NoPhases)
+				res, err := checkAgainstDFAGuarded(ts, prop, dfa, opts.Guard(), !opts.NoPhases)
 				if err != nil {
 					return Result{}, err
 				}

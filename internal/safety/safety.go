@@ -196,10 +196,7 @@ type Table2Row struct {
 }
 
 // System is a TM algorithm with an optional contention manager.
-type System struct {
-	Alg tm.Algorithm
-	CM  tm.ContentionManager
-}
+type System = explore.System
 
 // PaperSystems returns the five systems of the paper's Table 2 at (n, k):
 // sequential, 2PL, DSTM, TL2, and modified TL2 with the polite manager.

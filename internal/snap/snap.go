@@ -469,11 +469,7 @@ func (s *Store) sectionLocked(tmName, cmName string, kw, keyBits int) (*section,
 func (s *Store) Persist(alg tm.Algorithm, cm tm.ContentionManager) (*explore.Persist, error) {
 	kw, keyBits, ok := explore.PackedInfo(alg, cm)
 	if !ok {
-		label := alg.Name()
-		if cm != nil {
-			label += "+" + cm.Name()
-		}
-		return nil, fmt.Errorf("snap: %s is not bit-packable; -checkpoint/-resume require a packed system", label)
+		return nil, fmt.Errorf("snap: %s is not bit-packable; -checkpoint/-resume require a packed system", explore.System{Alg: alg, CM: cm}.Name())
 	}
 	cmName := ""
 	if cm != nil {
