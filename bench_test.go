@@ -122,9 +122,9 @@ var engineCases = []struct {
 // BenchmarkEngines compares the materialized build-then-check pipeline
 // against the on-the-fly product search end to end (construction
 // included, single worker), plus the on-the-fly search at GOMAXPROCS
-// workers ("onthefly-par", its prefetching mode). The allocation
-// columns show the memory story: on-the-fly never materializes the spec
-// DFA or the TM NFA.
+// workers ("onthefly-par", its TM stage on goroutines of its own). The
+// allocation columns show the memory story: on-the-fly never
+// materializes the spec DFA or the TM NFA.
 func BenchmarkEngines(b *testing.B) {
 	for _, c := range engineCases {
 		sys := c.sys()

@@ -52,7 +52,7 @@ type Stepper interface {
 }
 
 // walkChunk is a walk's unit of the pair queue: one EvProgress
-// heartbeat per chunk, and Walk.Ahead looks one chunk ahead.
+// heartbeat per chunk.
 const walkChunk = 4096
 
 // Walk is the product inclusion walk of both safety engines: a BFS over
@@ -74,10 +74,6 @@ type Walk struct {
 	// Name labels the walk's level and progress events on the telemetry
 	// bus; "" emits none.
 	Name string
-	// Ahead, when set, is called at the start of every chunk of the
-	// queue with the A states of the next chunk, as far as the queue
-	// holds it yet, so a side expanded on demand can prepare them.
-	Ahead func(states []int32)
 }
 
 // WalkResult is the outcome of a Walk.
@@ -111,7 +107,6 @@ type product struct {
 	parent []int32
 	letter []int16
 	key    [1]uint64
-	ahead  []int32 // Ahead scratch
 }
 
 func (p *product) push(a, d, from int32, l int16) {
@@ -152,18 +147,6 @@ func (p *product) word(id int32, last int16) []int {
 	return rev
 }
 
-// chunkStates returns the A states of the chunk of pairs starting at lo,
-// as far as the queue holds it yet.
-func (p *product) chunkStates(lo int32) []int32 {
-	p.ahead = p.ahead[:0]
-	hi := min(lo+walkChunk, int32(p.pairs.Len()))
-	for id := lo; id < hi; id++ {
-		a, _ := p.at(id)
-		p.ahead = append(p.ahead, a)
-	}
-	return p.ahead
-}
-
 // Run walks the product. With the telemetry bus on and a Name set, each
 // BFS level's end publishes an EvLevelDone and each chunk an EvProgress.
 // A guard stop returns the guard's error with the pairs constructed so
@@ -198,17 +181,12 @@ func (w *Walk) Run() (WalkResult, error) {
 			}
 		}
 		r.FrontierPeak = max(r.FrontierPeak, p.pairs.Len()-int(qi))
-		if qi%walkChunk == 0 {
-			if events && qi > 0 {
-				obs.Emit(obs.Event{
-					Kind: obs.EvProgress, Name: w.Name,
-					States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - int(qi)),
-					HeapBytes: obs.SampledHeap(),
-				})
-			}
-			if w.Ahead != nil {
-				w.Ahead(p.chunkStates(qi + walkChunk))
-			}
+		if events && qi%walkChunk == 0 && qi > 0 {
+			obs.Emit(obs.Event{
+				Kind: obs.EvProgress, Name: w.Name,
+				States: int64(p.pairs.Len()), Frontier: int64(p.pairs.Len() - int(qi)),
+				HeapBytes: obs.SampledHeap(),
+			})
 		}
 		s, sd := p.at(qi)
 		for _, e := range a.Edges(s) {

@@ -49,7 +49,7 @@ const (
 	// without closing), exercising the heartbeat-timeout detector.
 	SiteConnStall
 	// SiteWorkerPanic is a panic inside a packed exploration scan or in
-	// a prefetch helper of the on-the-fly product, isolated by the
+	// the TM stage's helper of the on-the-fly product, isolated by the
 	// engines' existing guard.Capture machinery into a LIMIT(panic).
 	SiteWorkerPanic
 	// SiteGuardMem is a spurious memory-watchdog trip inside
@@ -97,8 +97,8 @@ var ErrInjected = errors.New("chaos: injected fault")
 
 // Plan is one armed fault plan: a per-site counter of operations until
 // the fault fires (one-shot), plus the parameters of the partial-write
-// faults. Counters are atomic — the on-the-fly search's prefetch
-// helpers and concurrent table rows fire from many goroutines.
+// faults. Counters are atomic — the on-the-fly search's stage helper
+// and concurrent table rows fire from many goroutines.
 type Plan struct {
 	// Seed is the PRNG seed the plan was derived from (0 for a
 	// hand-armed plan); it names the plan in logs.

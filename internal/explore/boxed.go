@@ -11,8 +11,8 @@ import (
 // on first sight in its own map and hands that number out as a one-word
 // key, so scanPacked and Lazy run these products on the same pack.Map
 // loop as the packed ones. The numbers mean nothing outside the one
-// core that assigned them: a boxed core has no clone (Lazy does not
-// prefetch it) and no snapshot form (errNotPackable).
+// core that assigned them: a boxed core has no clone (Lazy's stage
+// runs it without a helper) and no snapshot form (errNotPackable).
 type boxedCore struct {
 	u      *unfolding
 	index  map[prodState]int32

@@ -48,12 +48,14 @@ func ParseEngine(s string) (Engine, error) {
 // Options configures one check or table of the safety and liveness
 // checkers; safety.Options and liveness.Options are this type.
 type Options struct {
-	// Workers is the worker count; <= 0 means GOMAXPROCS. Above one,
-	// the on-the-fly safety search expands TM states ahead of its
-	// product loop on Workers-1 helper goroutines, and the Table2 and
-	// Table3 drivers fan their rows out over a pool of Workers
-	// goroutines. Every other loop is sequential, and every Result
-	// field but the elapsed times is the same at every count.
+	// Workers is the worker count; <= 0 means GOMAXPROCS. At one,
+	// nothing starts. Above one, a single on-the-fly safety check
+	// explores its TM ahead of its product loop on two goroutines, a
+	// stage and its helper, whatever the count (NewLazyWorkers), and
+	// the Table2 and Table3 drivers fan their rows out over a pool of
+	// Workers goroutines, each row at one worker. Every other loop is
+	// sequential, and every Result field but the elapsed times is the
+	// same at every count.
 	Workers int
 	// Engine selects the pipeline; the zero value is
 	// EngineMaterialized. liveness.CheckOnTheFlyOpts and

@@ -28,6 +28,16 @@ const (
 	wordMaxField  = 1<<wordFieldBits - 1
 )
 
+// The pipeline's fixed sizes. The stage hands its records to the walk in
+// batches of batchRecords over a channel lookAhead batches deep: with one
+// batch of look-ahead the stage and the walk stall on each other. The
+// stage gives its helper helperChunk queued states at a time.
+const (
+	batchRecords = 512
+	lookAhead    = 8
+	helperChunk  = 1024
+)
+
 // Lazy is the lazily expanded TM×CM product, the left side of the
 // on-the-fly safety search's automata.Walk. States get dense ids on
 // first sight and are expanded at most once; each expansion is cached as
@@ -37,225 +47,388 @@ const (
 // keys in a pack.Map: bit-packed keys when it packs (packedFor), the
 // boxed core's one-word numbers otherwise.
 //
-// A Lazy belongs to one goroutine. Prefetch hands the expansion of
-// states the caller will ask for soon to helper goroutines, which read
-// copies of the keys and write only their own buffers; Edges interns a
-// prefetched expansion's successors exactly when and in the order it
-// would intern an inline expansion's, so ids never depend on the
-// helpers. Wait joins them.
+// The walk asks for a state's edges first when it takes the state's
+// first pair off its queue, and it pushed that pair in the iteration
+// that interned the state: that iteration pushes a pair for every edge
+// of the state it expands, and only a violation, which ends the walk,
+// cuts it short. So the walk meets the TM states in an order of the TM
+// alone — the initial state, then each expanded state's fresh
+// successors in SortEdges order of first occurrence — and a stage
+// explores the TM in exactly that order. Each expansion becomes a
+// record (the state, its edge word, the states interned so far) that
+// Edges takes in turn; a request for an unexpanded state that is not
+// the next record's panics. NumStates counts the states as of the last
+// record taken, so the walk sees the ids, sizes and budget trip points
+// of an inline expansion however far the stage has run ahead.
+//
+// NewLazy runs the stage on the walk's goroutine, one expansion per
+// record. NewLazyWorkers above one worker starts it on a goroutine of
+// its own, at most lookAhead batches ahead of the walk; for products
+// that pack, one helper goroutine expands the keys of the stage's next
+// helperChunk queued states on a clone of the core, so the stage only
+// interns, sorts and stores them. Close stops both.
 type Lazy struct {
-	pc      packedIface
-	packed  bool // false: pc is a boxed core, which is never prefetched
-	keys    *pack.Map
-	words   []uint64 // per state: the edge word, 0 until expanded
-	arena   arena[automata.Edge]
-	scratch []automata.Edge
-	cur     [pack.MaxWords]uint64
-	yield   func(next []uint64, e Edge)
-
-	// Prefetch state. Every prefetched state is an entry numbered in
-	// prefetch order; slot[id] is one more than its entry's number (0:
-	// never prefetched; ids past len(slot) are newer than the last
-	// Prefetch). Entries [readyLo, readyHi) are in ready, whose helpers
-	// have been joined; entries [readyHi, entries) are in ahead, which
-	// the helpers may still be filling.
-	slot             []int32
-	entries          int32
-	readyLo, readyHi int32
-	ready, ahead     *aheadBatch
-	cores            []packedIface // one per helper
-	wg               sync.WaitGroup
+	st *stage
+	// The walk's side: the edge words of the states whose records it
+	// took (0: none yet), the arena chunks the stage published, and the
+	// current batch with the index of its next record.
+	words  []uint64
+	chunks [][]automata.Edge
+	cur    *batch
+	next   int
+	// The pipeline; nil channels when the walk's goroutine runs the stage.
+	batches chan *batch
+	free    chan *batch
+	done    chan struct{}
+	stopped sync.WaitGroup
 }
 
-// aheadBatch is one Prefetch call's work: its entries' keys, copied so
-// the helpers never read the intern table the caller grows, and the
-// helpers' output.
-type aheadBatch struct {
-	in    []uint64 // entry keys at the key stride
-	spans []aheadSpan
-	outs  []*aheadOut // one per helper
+// record hands one expansion from the stage to the walk: the expanded
+// state, the number of states interned after it, and its edge word.
+type record struct {
+	id, states int32
+	word       uint64
 }
 
-// aheadOut is one helper's output: successor keys at the key stride and
-// their letters in expansion order, and the *guard.LimitError of a
-// panic that stopped the helper.
-type aheadOut struct {
-	keys  []uint64
-	emits []int16
-	yield func(next []uint64, e Edge)
-	err   error
+// batch is a run of records, with the arena chunks the stage opened
+// while producing them as full-length headers (so the walk can slice any
+// list in them) and, after the records, the *guard.LimitError of a
+// panic that stopped the stage.
+type batch struct {
+	recs   []record
+	chunks [][]automata.Edge
+	err    error
 }
-
-// aheadSpan locates one entry's successors in helper h's output.
-type aheadSpan struct{ h, start, end int32 }
 
 // NewLazy returns the lazy product of alg (with an optional manager cm)
 // and the most general program, holding only the initial state (id 0).
+// Its stage runs on the calling goroutine.
 func NewLazy(alg tm.Algorithm, cm tm.ContentionManager) *Lazy {
-	lz := &Lazy{arena: arena[automata.Edge]{chunkSize: 64}}
-	lz.pc, lz.packed = coreFor(alg, cm)
-	kw := lz.pc.keyWords()
-	lz.keys = pack.NewMap(kw, 0)
-	lz.pc.writeInit(lz.cur[:kw])
-	lz.keys.Intern(lz.cur[:kw])
-	lz.yield = func(next []uint64, e Edge) {
-		lz.scratch = append(lz.scratch, automata.Edge{To: lz.internKey(next), Emit: e.Emit})
+	return NewLazyWorkers(alg, cm, 1)
+}
+
+// NewLazyWorkers is NewLazy whose stage, above one worker, runs on a
+// goroutine of its own, with one helper goroutine when the product
+// packs. The Lazy belongs to the goroutine that calls Edges; call Close
+// before abandoning it.
+func NewLazyWorkers(alg tm.Algorithm, cm tm.ContentionManager, workers int) *Lazy {
+	pc, packed := coreFor(alg, cm)
+	lz := &Lazy{st: newStage(pc), words: make([]uint64, 1), cur: &batch{}}
+	if workers <= 1 {
+		return lz
 	}
-	lz.words = append(lz.words, 0)
+	if packed {
+		lz.st.helper = pc.clone()
+		lz.st.ready, lz.st.ahead = newChunkOut(), newChunkOut()
+	}
+	lz.batches = make(chan *batch, lookAhead)
+	// Room for every batch there is: lookAhead queued, one being filled
+	// and one being read.
+	lz.free = make(chan *batch, lookAhead+2)
+	lz.done = make(chan struct{})
+	lz.stopped.Add(1)
+	go lz.run()
 	return lz
 }
 
-// NumStates returns the number of states interned so far.
+// NumStates returns the number of states interned as of the last
+// expansion Edges took.
 func (lz *Lazy) NumStates() int { return len(lz.words) }
 
-func (lz *Lazy) internKey(key []uint64) int32 {
-	id, fresh := lz.keys.Intern(key)
-	if fresh {
-		lz.words = append(lz.words, 0)
-	}
-	return id
-}
-
-// Edges returns the cached edge list of state id, expanding the state on
-// first request — from a joined prefetch when there is one. The list
-// stays valid for the Lazy's lifetime; callers must not modify it.
+// Edges returns the cached edge list of state id, taking the state's
+// expansion from the stage on first request. The list stays valid for
+// the Lazy's lifetime; callers must not modify it.
 func (lz *Lazy) Edges(id int32) []automata.Edge {
-	if w := lz.words[id]; w != 0 {
-		return lz.list(w)
+	if int(id) < len(lz.words) && lz.words[id] != 0 {
+		return lz.list(lz.words[id])
 	}
-	lz.scratch = lz.scratch[:0]
-	if int(id) < len(lz.slot) && lz.slot[id] > lz.readyLo && lz.slot[id] <= lz.readyHi {
-		lz.takeAhead(lz.slot[id] - 1 - lz.readyLo)
-	} else {
-		// KeyAt aliases the table and interning may grow it: expand a copy.
-		kw := lz.pc.keyWords()
-		copy(lz.cur[:kw], lz.keys.KeyAt(id))
-		lz.pc.expandKey(lz.cur[:kw], lz.yield)
+	r := lz.peek()
+	if r.id != id {
+		panic(fmt.Sprintf("explore: edges of state %d requested out of walk order (the next expansion is state %d's)", id, r.id))
 	}
-	return lz.settle(id)
+	lz.next++
+	lz.words = append(lz.words, make([]uint64, int(r.states)-len(lz.words))...)
+	lz.words[id] = r.word
+	return lz.list(r.word)
 }
 
-// takeAhead interns the successors of entry i of the ready batch into
-// scratch, in the order its helper's expansion yielded them.
-func (lz *Lazy) takeAhead(i int32) {
-	sp, kw := lz.ready.spans[i], int32(lz.pc.keyWords())
-	out := lz.ready.outs[sp.h]
-	for j := sp.start; j < sp.end; j++ {
-		to := lz.internKey(out.keys[j*kw : (j+1)*kw])
-		lz.scratch = append(lz.scratch, automata.Edge{To: to, Emit: out.emits[j]})
+// peek returns the next record without taking it, fetching the next
+// batch when the current one is spent and re-raising the stage's panic
+// after its last record.
+func (lz *Lazy) peek() record {
+	for lz.next == len(lz.cur.recs) {
+		if err := lz.cur.err; err != nil {
+			panic(err)
+		}
+		if lz.batches == nil {
+			lz.st.fill(lz.cur, 1)
+			lz.st.publish(lz.cur)
+		} else {
+			select {
+			case lz.free <- lz.cur:
+			default:
+			}
+			b, ok := <-lz.batches
+			if !ok {
+				b = &batch{}
+			}
+			lz.cur = b
+		}
+		if len(lz.cur.recs) == 0 && lz.cur.err == nil {
+			panic("explore: edges requested after every state was expanded")
+		}
+		lz.chunks = append(lz.chunks, lz.cur.chunks...)
+		lz.next = 0
 	}
+	return lz.cur.recs[lz.next]
 }
 
 // list returns the edge list that edge word w locates.
 func (lz *Lazy) list(w uint64) []automata.Edge {
-	return lz.arena.at(int(w>>(2*wordFieldBits))-1, int(w>>wordFieldBits)&wordMaxField, int(w&wordMaxField))
+	off, n := int(w>>wordFieldBits)&wordMaxField, int(w&wordMaxField)
+	return lz.chunks[int(w>>(2*wordFieldBits))-1][off : off+n : off+n]
 }
 
-// settle sorts the scratch edges ε-first and then by letter
-// (automata.SortEdges) and caches them as state id's list.
-func (lz *Lazy) settle(id int32) []automata.Edge {
-	es := lz.scratch
+// run is the stage goroutine: it fills batches and sends them until the
+// TM is explored, the stage panics (the batch carries the panic after
+// its records) or Close.
+func (lz *Lazy) run() {
+	defer lz.stopped.Done()
+	defer close(lz.batches)
+	defer lz.st.wg.Wait()
+	st := lz.st
+	for {
+		select {
+		case <-lz.done:
+			return
+		default:
+		}
+		var b *batch
+		select {
+		case b = <-lz.free:
+		default:
+			b = &batch{}
+		}
+		b.err = guard.Capture(func() error {
+			st.fill(b, batchRecords)
+			return nil
+		})
+		st.publish(b)
+		if len(b.recs) == 0 && b.err == nil {
+			return
+		}
+		select {
+		case lz.batches <- b:
+		case <-lz.done:
+			return
+		}
+		if b.err != nil {
+			return
+		}
+	}
+}
+
+// Close stops the stage and its helper and waits for them. The Lazy
+// answers Edges afterwards only for states it already expanded. Close
+// is a no-op when the stage runs on the walk's goroutine.
+func (lz *Lazy) Close() {
+	if lz.done != nil {
+		close(lz.done)
+		lz.stopped.Wait()
+		lz.done = nil
+	}
+}
+
+// stage explores the TM in walk order. It owns the intern table, the
+// edge arena and the queue of states to expand; queue[head] is the next.
+type stage struct {
+	pc      packedIface
+	kw      int
+	keys    *pack.Map
+	arena   arena[automata.Edge]
+	queue   []int32
+	head    int
+	opened  int // arena chunks already published
+	scratch []automata.Edge
+	cur     [pack.MaxWords]uint64
+	yield   func(next []uint64, e Edge)
+
+	// The helper, nil when the stage expands every state itself. ready
+	// holds its expansions of queue[readyLo:readyHi]; while aheadHi >
+	// readyHi it is filling ahead with those of queue[readyHi:aheadHi].
+	helper                    packedIface
+	ready, ahead              *chunkOut
+	readyLo, readyHi, aheadHi int
+	wg                        sync.WaitGroup
+}
+
+// chunkOut is one helper chunk: the keys of its states, copied so the
+// helper never reads the intern table the stage grows, and the helper's
+// output — successor keys at the key stride and their letters in
+// expansion order, the end of each state's successors, and the
+// *guard.LimitError of a panic that stopped the helper.
+type chunkOut struct {
+	in    []uint64
+	keys  []uint64
+	emits []int16
+	ends  []int32
+	yield func(next []uint64, e Edge)
+	err   error
+}
+
+func newChunkOut() *chunkOut {
+	out := &chunkOut{}
+	out.yield = func(next []uint64, e Edge) {
+		out.keys = append(out.keys, next...)
+		out.emits = append(out.emits, e.Emit)
+	}
+	return out
+}
+
+func newStage(pc packedIface) *stage {
+	st := &stage{pc: pc, kw: pc.keyWords(), arena: arena[automata.Edge]{chunkSize: 64}}
+	st.keys = pack.NewMap(st.kw, 0)
+	pc.writeInit(st.cur[:st.kw])
+	st.keys.Intern(st.cur[:st.kw])
+	st.queue = append(st.queue, 0)
+	st.yield = func(next []uint64, e Edge) {
+		id, _ := st.keys.Intern(next)
+		st.scratch = append(st.scratch, automata.Edge{To: id, Emit: e.Emit})
+	}
+	return st
+}
+
+// fill appends up to max records to b, fewer when the queue runs dry.
+func (st *stage) fill(b *batch, max int) {
+	b.recs = b.recs[:0]
+	for len(b.recs) < max && st.head < len(st.queue) {
+		b.recs = append(b.recs, st.step())
+	}
+}
+
+// publish puts the arena chunks opened since the last call into b.
+func (st *stage) publish(b *batch) {
+	b.chunks = b.chunks[:0]
+	for ; st.opened < len(st.arena.chunks); st.opened++ {
+		c := st.arena.chunks[st.opened]
+		b.chunks = append(b.chunks, c[:cap(c)])
+	}
+}
+
+// step expands the next queued state — from the helper's output when it
+// has it — interns its successors in expansion order, stores its sorted
+// edge list and queues its fresh successors in SortEdges order of first
+// occurrence.
+func (st *stage) step() record {
+	i, id := st.head, st.queue[st.head]
+	if i == st.readyHi && st.aheadHi > i {
+		st.join()
+	}
+	before := int32(st.keys.Len())
+	st.scratch = st.scratch[:0]
+	if st.readyLo <= i && i < st.readyHi {
+		st.take(i - st.readyLo)
+	} else {
+		// KeyAt aliases the table and interning may grow it: expand a copy.
+		copy(st.cur[:st.kw], st.keys.KeyAt(id))
+		st.pc.expandKey(st.cur[:st.kw], st.yield)
+	}
+	es := st.scratch
 	automata.SortEdges(es)
 	if len(es) > wordMaxField {
 		panic(fmt.Sprintf("explore: state %d has %d edges, over the edge word's %d", id, len(es), wordMaxField))
 	}
-	chunk, off := lz.arena.put(es)
-	lz.words[id] = uint64(chunk+1)<<(2*wordFieldBits) | uint64(off)<<wordFieldBits | uint64(len(es))
-	return lz.arena.at(chunk, off, len(es))
-}
-
-// Prefetch joins the helpers of the previous call, re-raising a panic
-// of theirs on the calling goroutine as a *guard.LimitError of kind
-// KindPanic, and lets Edges take their expansions from then on. It then
-// starts expanding the states among ids that are neither expanded nor
-// prefetched on workers-1 helper goroutines and returns without waiting
-// for them. Edges of such a state before the next Prefetch expands it
-// inline and drops the helper's copy. Boxed products and one worker do
-// not prefetch.
-func (lz *Lazy) Prefetch(ids []int32, workers int) {
-	if !lz.packed || workers <= 1 {
-		return
-	}
-	lz.wg.Wait()
-	if lz.ahead == nil {
-		lz.ready, lz.ahead = &aheadBatch{}, &aheadBatch{}
-	}
-	for _, out := range lz.ahead.outs {
-		if err := out.err; err != nil {
-			out.err = nil
-			panic(err)
+	chunk, off := st.arena.put(es)
+	tail := len(st.queue)
+	for _, e := range es {
+		if e.To >= before && !slices.Contains(st.queue[tail:], e.To) {
+			st.queue = append(st.queue, e.To)
 		}
 	}
-	lz.ready, lz.ahead = lz.ahead, lz.ready
-	lz.readyLo, lz.readyHi = lz.readyHi, lz.entries
-
-	b, kw := lz.ahead, lz.pc.keyWords()
-	lz.slot = append(lz.slot, make([]int32, len(lz.words)-len(lz.slot))...)
-	b.in = b.in[:0]
-	for _, id := range ids {
-		// A slot above readyLo is an entry of ready or of this batch.
-		if lz.words[id] == 0 && lz.slot[id] <= lz.readyLo {
-			lz.entries++
-			lz.slot[id] = lz.entries
-			b.in = append(b.in, lz.keys.KeyAt(id)...)
-		}
+	st.head++
+	if st.helper != nil && st.aheadHi == st.readyHi {
+		st.launch()
 	}
-	n := len(b.in) / kw
-	if n == 0 {
-		return
-	}
-	b.spans = slices.Grow(b.spans[:0], n)[:n]
-	helpers := min(workers-1, n)
-	for len(lz.cores) < helpers {
-		lz.cores = append(lz.cores, lz.pc.clone())
-	}
-	for len(b.outs) < helpers {
-		out := &aheadOut{}
-		out.yield = func(next []uint64, e Edge) {
-			out.keys = append(out.keys, next...)
-			out.emits = append(out.emits, e.Emit)
-		}
-		b.outs = append(b.outs, out)
-	}
-	lz.wg.Add(helpers)
-	for h := range helpers {
-		go lz.expandAhead(b, h, h*n/helpers, (h+1)*n/helpers)
+	return record{
+		id: id, states: int32(st.keys.Len()),
+		word: uint64(chunk+1)<<(2*wordFieldBits) | uint64(off)<<wordFieldBits | uint64(len(es)),
 	}
 }
 
-// expandAhead is helper h of a Prefetch: it expands entries [lo, hi) of
-// b on its own core into its own output. A panic — a crashing TM, or
-// the injected worker-panic fault — stops the helper and waits in its
-// output for the next Prefetch to re-raise.
-func (lz *Lazy) expandAhead(b *aheadBatch, h, lo, hi int) {
-	defer lz.wg.Done()
-	out, pc, kw := b.outs[h], lz.cores[h], lz.pc.keyWords()
-	out.keys, out.emits = out.keys[:0], out.emits[:0]
+// take interns the successors of entry j of the ready chunk into
+// scratch, in the order the helper's expansion yielded them.
+func (st *stage) take(j int) {
+	out, kw := st.ready, st.kw
+	lo := int32(0)
+	if j > 0 {
+		lo = out.ends[j-1]
+	}
+	for k := lo; k < out.ends[j]; k++ {
+		to, _ := st.keys.Intern(out.keys[int(k)*kw : int(k+1)*kw])
+		st.scratch = append(st.scratch, automata.Edge{To: to, Emit: out.emits[k]})
+	}
+}
+
+// join waits for the helper's chunk, re-raising a panic of the helper's
+// on the stage, and makes it the ready one.
+func (st *stage) join() {
+	st.wg.Wait()
+	if err := st.ahead.err; err != nil {
+		st.ahead.err = nil
+		panic(err)
+	}
+	st.ready, st.ahead = st.ahead, st.ready
+	st.readyLo, st.readyHi = st.readyHi, st.aheadHi
+}
+
+// launch starts the helper on the helperChunk queued states after the
+// ready ones — or, when none is ready, after the next helperChunk, which
+// the stage expands itself meanwhile — if the queue holds them yet.
+func (st *stage) launch() {
+	lo := st.readyHi
+	if st.head >= lo {
+		lo = st.head + helperChunk
+	}
+	if len(st.queue) < lo+helperChunk {
+		return
+	}
+	if lo > st.readyHi {
+		st.readyLo, st.readyHi = lo, lo
+	}
+	st.aheadHi = lo + helperChunk
+	out := st.ahead
+	out.in = out.in[:0]
+	for _, id := range st.queue[lo:st.aheadHi] {
+		out.in = append(out.in, st.keys.KeyAt(id)...)
+	}
+	st.wg.Add(1)
+	go st.expandChunk(out)
+}
+
+// expandChunk is the helper: it expands the states of out on its own
+// core into out. A panic — a crashing TM, or the injected worker-panic
+// fault — stops it and waits in out for the stage to re-raise.
+func (st *stage) expandChunk(out *chunkOut) {
+	defer st.wg.Done()
+	out.keys, out.emits, out.ends = out.keys[:0], out.emits[:0], out.ends[:0]
+	n := len(out.in) / st.kw
 	var start time.Time
 	spans := obs.EventsEnabled()
 	if spans {
 		start = time.Now()
 	}
 	out.err = guard.Capture(func() error {
-		for i := lo; i < hi; i++ {
+		for i := range n {
 			if chaos.Fire(chaos.SiteWorkerPanic) {
-				panic(fmt.Errorf("%w: prefetch helper %d panic expanding entry %d", chaos.ErrInjected, h, i))
+				panic(fmt.Errorf("%w: stage helper panic expanding entry %d of its chunk", chaos.ErrInjected, i))
 			}
-			first := int32(len(out.emits))
-			pc.expandKey(b.in[i*kw:(i+1)*kw], out.yield)
-			b.spans[i] = aheadSpan{h: int32(h), start: first, end: int32(len(out.emits))}
+			st.helper.expandKey(out.in[i*st.kw:(i+1)*st.kw], out.yield)
+			out.ends = append(out.ends, int32(len(out.emits)))
 		}
 		return nil
 	})
 	if spans {
-		// The per-worker tracks of the -trace view.
-		obs.Emit(obs.Event{
-			Kind: obs.EvWorkerSpan, Worker: int32(h),
-			States: int64(hi - lo), DurNS: time.Since(start).Nanoseconds(),
-		})
+		// The worker track of the -trace view.
+		obs.Emit(obs.Event{Kind: obs.EvWorkerSpan, States: int64(n), DurNS: time.Since(start).Nanoseconds()})
 	}
 }
-
-// Wait joins the helpers of the last Prefetch, leaving their work
-// untaken. Call it before abandoning a Lazy that has prefetched.
-func (lz *Lazy) Wait() { lz.wg.Wait() }

@@ -48,7 +48,7 @@ type packedIface interface {
 	// immediately) and the edge with To unset.
 	expandKey(key []uint64, yield func(next []uint64, e Edge))
 	// clone returns a core sharing the immutable configuration with
-	// fresh expansion scratch, for one Lazy.Prefetch helper.
+	// fresh expansion scratch, for the helper of a Lazy's stage.
 	clone() packedIface
 	// stateAt decodes a key into the boxed product state (cold path:
 	// state-table reads by tests, witnesses, and the restricted builder).

@@ -1,6 +1,7 @@
 package liveness
 
 import (
+	"slices"
 	"time"
 
 	"tmcheck/internal/core"
@@ -83,24 +84,25 @@ func waitStreett(t core.Thread) (restrict func(explore.Edge) bool, require []fun
 // adjacency, so identical prefixes yield identical lassos — the
 // cross-engine equality the on-the-fly liveness engine relies on.
 func FindStreettRun(out [][]explore.Edge, restrict func(explore.Edge) bool, pairs []StreettPair, require []func(explore.Edge) bool) (stem, loop []explore.Edge) {
-	// live marks the edges currently allowed; the recursion disables
-	// E-edges of failing pairs.
-	type edgeKey struct {
-		from int32
-		idx  int
+	// Edge idx of state s has the global id base[s]+idx; the recursion
+	// disables E-edges of failing pairs in the disabled bitset.
+	base := make([]int, len(out)+1)
+	for s, es := range out {
+		base[s+1] = base[s] + len(es)
 	}
-	disabled := map[edgeKey]bool{}
+	disabled := make([]uint64, (base[len(out)]+63)/64)
 	allowed := func(from int32, idx int, e explore.Edge) bool {
-		return restrict(e) && !disabled[edgeKey{from, idx}]
+		g := base[from] + idx
+		return restrict(e) && disabled[g>>6]&(1<<(g&63)) == 0
 	}
 
 	// search returns a witness within the given state set (nil = all).
 	var search func(states []int32) (stem, loop []explore.Edge)
 	search = func(states []int32) ([]explore.Edge, []explore.Edge) {
-		inScope := map[int32]bool{}
+		inScope := make([]bool, len(out))
 		if states == nil {
-			for s := range out {
-				inScope[int32(s)] = true
+			for s := range inScope {
+				inScope[s] = true
 			}
 		} else {
 			for _, s := range states {
@@ -110,15 +112,11 @@ func FindStreettRun(out [][]explore.Edge, restrict func(explore.Edge) bool, pair
 		comp, comps := sccWithFilter(out, inScope, allowed)
 		for cid, members := range comps {
 			// Edges fully inside this SCC.
-			type cedge struct {
-				from int32
-				idx  int
-			}
-			var inside []cedge
+			var inside []edgeRef
 			for _, s := range members {
 				for i, e := range out[s] {
 					if allowed(s, i, e) && comp[e.To] == int32(cid) && inScope[e.To] {
-						inside = append(inside, cedge{s, i})
+						inside = append(inside, edgeRef{s, i})
 					}
 				}
 			}
@@ -145,15 +143,15 @@ func FindStreettRun(out [][]explore.Edge, restrict func(explore.Edge) bool, pair
 			if len(failing) > 0 {
 				// Disable the failing pairs' E-edges inside this SCC and
 				// recurse on its states.
-				var disabledHere []edgeKey
+				var disabledHere []int
 				for _, ce := range inside {
 					e := out[ce.from][ce.idx]
 					for _, pi := range failing {
 						if pairs[pi].E(e) {
-							k := edgeKey{ce.from, ce.idx}
-							if !disabled[k] {
-								disabled[k] = true
-								disabledHere = append(disabledHere, k)
+							g := base[ce.from] + ce.idx
+							if disabled[g>>6]&(1<<(g&63)) == 0 {
+								disabled[g>>6] |= 1 << (g & 63)
+								disabledHere = append(disabledHere, g)
 							}
 							break
 						}
@@ -163,8 +161,8 @@ func FindStreettRun(out [][]explore.Edge, restrict func(explore.Edge) bool, pair
 				if lp != nil {
 					return st, lp
 				}
-				for _, k := range disabledHere {
-					delete(disabled, k)
+				for _, g := range disabledHere {
+					disabled[g>>6] &^= 1 << (g & 63)
 				}
 				continue
 			}
@@ -175,7 +173,7 @@ func FindStreettRun(out [][]explore.Edge, restrict func(explore.Edge) bool, pair
 				found := false
 				for _, ce := range inside {
 					if rc(out[ce.from][ce.idx]) {
-						reqEdges = append(reqEdges, edgeRef{from: ce.from, idx: ce.idx})
+						reqEdges = append(reqEdges, ce)
 						found = true
 						break
 					}
@@ -214,14 +212,14 @@ func FindStreettRun(out [][]explore.Edge, restrict func(explore.Edge) bool, pair
 				}
 				for _, ce := range inside {
 					if p.F(out[ce.from][ce.idx]) {
-						reqEdges = append(reqEdges, edgeRef{from: ce.from, idx: ce.idx})
+						reqEdges = append(reqEdges, ce)
 						break
 					}
 				}
 			}
 			if len(reqEdges) == 0 {
 				// Any cycle will do; take the first inside edge.
-				reqEdges = append(reqEdges, edgeRef{from: inside[0].from, idx: inside[0].idx})
+				reqEdges = append(reqEdges, inside[0])
 			}
 			return buildStreettLoop(out, inScope, allowed, comp, int32(cid), reqEdges)
 		}
@@ -233,7 +231,7 @@ func FindStreettRun(out [][]explore.Edge, restrict func(explore.Edge) bool, pair
 // sccWithFilter computes SCCs over the filtered, index-aware edge set,
 // returning the component of each state and the member lists of
 // components that contain at least one state.
-func sccWithFilter(out [][]explore.Edge, inScope map[int32]bool, allowed func(int32, int, explore.Edge) bool) ([]int32, [][]int32) {
+func sccWithFilter(out [][]explore.Edge, inScope []bool, allowed func(int32, int, explore.Edge) bool) ([]int32, [][]int32) {
 	n := len(out)
 	const unvisited = -1
 	index := make([]int32, n)
@@ -253,7 +251,7 @@ func sccWithFilter(out [][]explore.Edge, inScope map[int32]bool, allowed func(in
 		ei int
 	}
 	for root := 0; root < n; root++ {
-		if !inScope[int32(root)] || index[root] != unvisited {
+		if !inScope[root] || index[root] != unvisited {
 			continue
 		}
 		call := []frame{{v: int32(root)}}
@@ -318,89 +316,67 @@ func sccWithFilter(out [][]explore.Edge, inScope map[int32]bool, allowed func(in
 
 // buildStreettLoop stitches the required edges into a loop within the SCC
 // and finds a stem from the initial state.
-func buildStreettLoop(out [][]explore.Edge, inScope map[int32]bool, allowed func(int32, int, explore.Edge) bool, comp []int32, cid int32, refs []edgeRef) (stem, loop []explore.Edge) {
-	path := func(src, dst int32) []explore.Edge {
-		if src == dst {
-			return nil
-		}
-		type pred struct {
-			prev int32
-			ref  edgeRef
-		}
-		preds := map[int32]pred{src: {prev: -1}}
-		queue := []int32{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for i, e := range out[v] {
-				if !allowed(v, i, e) || comp[e.To] != cid || !inScope[e.To] {
-					continue
-				}
-				if _, seen := preds[e.To]; seen {
-					continue
-				}
-				preds[e.To] = pred{prev: v, ref: edgeRef{from: v, idx: i}}
-				if e.To == dst {
-					var rev []explore.Edge
-					cur := dst
-					for cur != src {
-						p := preds[cur]
-						rev = append(rev, out[p.ref.from][p.ref.idx])
-						cur = p.prev
-					}
-					for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-						rev[i], rev[j] = rev[j], rev[i]
-					}
-					return rev
-				}
-				queue = append(queue, e.To)
-			}
-		}
-		return nil
+func buildStreettLoop(out [][]explore.Edge, inScope []bool, allowed func(int32, int, explore.Edge) bool, comp []int32, cid int32, refs []edgeRef) (stem, loop []explore.Edge) {
+	tree := newBFSTree(len(out))
+	inSCC := func(v int32, i int, e explore.Edge) bool {
+		return allowed(v, i, e) && comp[e.To] == cid && inScope[e.To]
 	}
 	for i, r := range refs {
 		e := out[r.from][r.idx]
 		loop = append(loop, e)
 		next := refs[(i+1)%len(refs)]
-		loop = append(loop, path(e.To, next.from)...)
+		loop = append(loop, tree.path(out, e.To, next.from, inSCC)...)
 	}
-	stem = stemTo(out, refs[0].from)
+	stem = tree.path(out, 0, refs[0].from, func(int32, int, explore.Edge) bool { return true })
 	return stem, loop
 }
 
-// stemTo finds a path of arbitrary edges from the initial state to dst.
-func stemTo(out [][]explore.Edge, dst int32) []explore.Edge {
-	if dst == 0 {
+// bfsTree is the scratch of path: each reached state's tree edge, and
+// the BFS queue, whose states are the ones to reset after a search.
+type bfsTree struct {
+	pred  []edgeRef // the edge that reached each state; from -1: unreached
+	queue []int32
+}
+
+func newBFSTree(n int) *bfsTree {
+	t := &bfsTree{pred: make([]edgeRef, n)}
+	for i := range t.pred {
+		t.pred[i].from = -1
+	}
+	return t
+}
+
+// path returns the edges of a shortest path from src to dst over the
+// edges ok admits, taking each state's edges in order, or nil when dst
+// is src or unreachable.
+func (t *bfsTree) path(out [][]explore.Edge, src, dst int32, ok func(int32, int, explore.Edge) bool) []explore.Edge {
+	if src == dst {
 		return nil
 	}
-	type pred struct {
-		prev int32
-		ref  edgeRef
-	}
-	preds := map[int32]pred{0: {prev: -1}}
-	queue := []int32{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	t.queue = append(t.queue[:0], src)
+	t.pred[src] = edgeRef{from: src}
+	defer func() {
+		for _, v := range t.queue {
+			t.pred[v].from = -1
+		}
+	}()
+	for qi := 0; qi < len(t.queue); qi++ {
+		v := t.queue[qi]
 		for i, e := range out[v] {
-			if _, seen := preds[e.To]; seen {
+			if !ok(v, i, e) || t.pred[e.To].from >= 0 {
 				continue
 			}
-			preds[e.To] = pred{prev: v, ref: edgeRef{from: v, idx: i}}
+			t.pred[e.To] = edgeRef{from: v, idx: i}
+			t.queue = append(t.queue, e.To)
 			if e.To == dst {
 				var rev []explore.Edge
-				cur := dst
-				for cur != 0 {
-					p := preds[cur]
-					rev = append(rev, out[p.ref.from][p.ref.idx])
-					cur = p.prev
+				for cur := dst; cur != src; cur = t.pred[cur].from {
+					p := t.pred[cur]
+					rev = append(rev, out[p.from][p.idx])
 				}
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
+				slices.Reverse(rev)
 				return rev
 			}
-			queue = append(queue, e.To)
 		}
 	}
 	return nil

@@ -59,9 +59,9 @@ const (
 	// tmfuzz): States is the cumulative unit count.
 	EvProgress
 	// EvWorkerSpan reports one worker's activity window — a row-pool
-	// worker of parbfs.For or a prefetch helper of the on-the-fly safety
-	// search: Worker is its index, States the items it processed, DurNS
-	// the span.
+	// worker of parbfs.For or the TM stage's helper of the on-the-fly
+	// safety search (Worker 0): Worker is its index, States the items it
+	// processed, DurNS the span.
 	EvWorkerSpan
 	// EvViolation fires when a check finds a counterexample or violating
 	// lasso (Detail describes it).

@@ -11,7 +11,7 @@ package obs
 //   - each check and each explored system gets its own named track with
 //     one complete (X) span per check and per BFS level, the level spans
 //     annotated with cumulative states, frontier and heap;
-//   - workers (table-row pool workers, on-the-fly prefetch helpers)
+//   - workers (table-row pool workers, the on-the-fly stage's helper)
 //     appear on tracks 1000+w with one X span per pool run or chunk;
 //   - violations, limits, and recovered panics are instant (i) events;
 //   - cumulative states are also emitted as a counter (C) track, so

@@ -99,8 +99,13 @@ type GrowFunc func(need int, cur []uint64) []uint64
 // Map interns fixed-width keys: an open-addressing hash table that
 // numbers each distinct key densely in first-sight order, so KeyAt(id)
 // inverts Intern. Key storage is one flat []uint64 at stride kw — no
-// per-entry allocation, no interface boxing — and a slot holds its
-// entry's id, so there is no value array.
+// per-entry allocation, no interface boxing — and a 4-byte slot holds
+// its entry's id, so there is no value array.
+//
+// A slot's low idBits bits hold the id plus one and its other bits the
+// top bits of the key's hash, so a probe loads a stored key only when
+// that tag matches. idBits starts at 16 and grows by one, in one pass
+// over the slots, whenever the next id would not fit.
 //
 // Append numbers a key the same way but leaves it out of the hash
 // index, for callers that answer membership of such keys themselves
@@ -115,7 +120,9 @@ type Map struct {
 	n        int32 // entries
 	unhashed int32 // appended entries
 	mask     uint64
-	slots    []int32 // entry id + 1; 0 = empty
+	idBits   uint
+	idMask   uint32   // 1<<idBits - 1
+	slots    []uint32 // tag<<idBits | (entry id + 1); 0 = empty
 	keys     []uint64
 	appended []uint64 // bitset of appended ids; nil until the first Append
 	growKeys GrowFunc // nil: plain append growth
@@ -148,8 +155,11 @@ func NewMap(kw, hint int) *Map {
 	for int(n)*3 < hint*4 { // capacity ≥ 4/3·hint keeps load ≤ 0.75
 		n <<= 1
 	}
-	return &Map{kw: kw, mask: n - 1, slots: make([]int32, n)}
+	return &Map{kw: kw, mask: n - 1, idBits: 16, idMask: 1<<16 - 1, slots: make([]uint32, n)}
 }
+
+// tag returns the slot tag of a key hash: its top 32-idBits bits.
+func (m *Map) tag(h uint64) uint32 { return uint32(h >> (32 + m.idBits)) }
 
 // Len returns the number of entries.
 func (m *Map) Len() int { return int(m.n) }
@@ -174,14 +184,15 @@ func (m *Map) equalAt(e int32, key []uint64) bool {
 
 // Get returns the id of key, if it is interned.
 func (m *Map) Get(key []uint64) (int32, bool) {
-	i := Hash(key) & m.mask
+	h := Hash(key)
+	i, tag := h&m.mask, m.tag(h)
 	for {
 		s := m.slots[i]
 		if s == 0 {
 			return 0, false
 		}
-		if m.equalAt(s-1, key) {
-			return s - 1, true
+		if e := int32(s&m.idMask) - 1; s>>m.idBits == tag && m.equalAt(e, key) {
+			return e, true
 		}
 		i = (i + 1) & m.mask
 	}
@@ -191,25 +202,48 @@ func (m *Map) Get(key []uint64) (int32, bool) {
 // (== Len() before the call) on first sight and copying the key into
 // the map's storage.
 func (m *Map) Intern(key []uint64) (id int32, fresh bool) {
-	i := Hash(key) & m.mask
+	h := Hash(key)
+	i, tag := h&m.mask, m.tag(h)
 	for {
 		s := m.slots[i]
 		if s == 0 {
 			break
 		}
-		if m.equalAt(s-1, key) {
-			return s - 1, false
+		if e := int32(s&m.idMask) - 1; s>>m.idBits == tag && m.equalAt(e, key) {
+			return e, false
 		}
 		i = (i + 1) & m.mask
 	}
 	id = m.n
+	if uint32(id) >= m.idMask {
+		m.widen()
+		tag = m.tag(h)
+	}
 	m.appendKey(key)
 	m.n++
-	m.slots[i] = m.n
+	m.slots[i] = tag<<m.idBits | uint32(m.n)
 	if uint64(m.n-m.unhashed)*4 > (m.mask+1)*3 {
 		m.grow()
 	}
 	return id, true
+}
+
+// widen moves the id/tag boundary of every slot up until id m.n + 1
+// fits: each tag loses its low bits, which are the top of the id
+// field's new bits, and no entry changes its slot.
+func (m *Map) widen() {
+	old := m.idBits
+	for uint64(m.n)+1 > uint64(m.idMask) {
+		m.idBits++
+		m.idMask = uint32(uint64(1)<<m.idBits - 1)
+	}
+	shift := m.idBits - old
+	oldMask := uint32(uint64(1)<<old - 1)
+	for i, s := range m.slots {
+		if s != 0 {
+			m.slots[i] = s>>old>>shift<<m.idBits | s&oldMask
+		}
+	}
 }
 
 // Append stores key under the next id (== Len() before the call)
@@ -239,16 +273,17 @@ func (m *Map) isAppended(e int32) bool {
 func (m *Map) grow() {
 	n := (m.mask + 1) << 1
 	m.mask = n - 1
-	m.slots = make([]int32, n)
+	m.slots = make([]uint32, n)
 	for e := int32(0); e < m.n; e++ {
 		if m.isAppended(e) {
 			continue
 		}
-		i := Hash(m.KeyAt(e)) & m.mask
+		h := Hash(m.KeyAt(e))
+		i := h & m.mask
 		for m.slots[i] != 0 {
 			i = (i + 1) & m.mask
 		}
-		m.slots[i] = e + 1
+		m.slots[i] = m.tag(h)<<m.idBits | uint32(e+1)
 	}
 }
 

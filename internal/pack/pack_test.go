@@ -189,3 +189,61 @@ func TestMapAppendUnhashed(t *testing.T) {
 		t.Errorf("13 hashed entries: %d slots, want 32", len(m.slots))
 	}
 }
+
+// TestMapWidensIDField interns and appends past 2^16 and 2^17 ids,
+// interleaved as the product walk's pair table does (most keys
+// appended, a quarter interned, every interned key looked up again as a
+// duplicate), and checks every id and every Get/Intern/KeyAt round trip
+// just before and after each widening of the slots' id field.
+func TestMapWidensIDField(t *testing.T) {
+	key := func(i int) []uint64 { return []uint64{uint64(i) * 0x9e3779b9, uint64(i)} }
+	hashed := func(i int) bool { return i%4 == 1 }
+	m := NewMap(2, 0)
+	verify := func(n int) {
+		t.Helper()
+		if m.Len() != n {
+			t.Fatalf("Len = %d, want %d", m.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			if got := m.KeyAt(int32(i)); got[0] != key(i)[0] || got[1] != key(i)[1] {
+				t.Fatalf("after %d ids: KeyAt(%d) = %v, want %v", n, i, got, key(i))
+			}
+			id, ok := m.Get(key(i))
+			if !hashed(i) {
+				if ok {
+					t.Fatalf("after %d ids: appended key %d found at %d", n, i, id)
+				}
+				continue
+			}
+			if !ok || id != int32(i) {
+				t.Fatalf("after %d ids: Get(key %d) = (%d,%v), want (%d,true)", n, i, id, ok, i)
+			}
+			if id, fresh := m.Intern(key(i)); fresh || id != int32(i) {
+				t.Fatalf("after %d ids: Intern(key %d) = (%d,%v), want (%d,false)", n, i, id, fresh, i)
+			}
+		}
+	}
+	const n = 1<<17 + 4096
+	checks := map[int]bool{1<<16 - 2: true, 1<<16 - 1: true, 1 << 16: true, 1<<16 + 1: true,
+		1<<17 - 2: true, 1<<17 - 1: true, 1 << 17: true, 1<<17 + 1: true, n: true}
+	for i := 0; i < n; i++ {
+		if checks[i] {
+			verify(i)
+		}
+		if hashed(i) {
+			if id, fresh := m.Intern(key(i)); !fresh || id != int32(i) {
+				t.Fatalf("Intern(key %d) = (%d,%v), want (%d,true)", i, id, fresh, i)
+			}
+			j := i/2&^3 | 1 // an earlier interned key
+			if id, fresh := m.Intern(key(j)); fresh || id != int32(j) {
+				t.Fatalf("re-Intern(key %d) = (%d,%v), want (%d,false)", j, id, fresh, j)
+			}
+		} else if id := m.Append(key(i)); id != int32(i) {
+			t.Fatalf("Append(key %d) = %d", i, id)
+		}
+	}
+	verify(n)
+	if m.idBits != 18 {
+		t.Errorf("id field of %d bits for %d ids, want 18", m.idBits, n)
+	}
+}

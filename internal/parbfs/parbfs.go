@@ -4,8 +4,8 @@
 // GOMAXPROCS. Every state space — the TM unfolding, the Σ and Σd
 // enumerations, the on-the-fly products — is explored on one
 // sequential loop; the only other use of the worker count is the
-// on-the-fly safety search's TM expansion ahead of its product loop
-// (explore.Lazy.Prefetch).
+// on-the-fly safety search's TM stage, which explores ahead of its
+// product loop on a goroutine of its own (explore.NewLazyWorkers).
 package parbfs
 
 import (

@@ -177,20 +177,18 @@ func checkOnTheFly(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property
 // of a lazily expanded TM (explore.Lazy) against a lazily stepped Σd
 // (spec.Lazy), one loop for every worker count.
 //
-// Above one worker, while the walk runs one chunk of its queue, helper
-// goroutines expand the TM states of the next (explore.Lazy.Prefetch).
-// Their successors are interned only when the walk asks for them, in
-// the order an inline expansion would intern them, so ids, sizes, the
-// frontier peak and the point where a budget trips are the same at
-// every worker count.
+// Above one worker the TM side explores ahead of the walk on a stage
+// goroutine of its own, with one helper goroutine expanding TM states
+// for it (explore.NewLazyWorkers), and the walk keeps only the Σd steps
+// and the pair probes. The stage expands the TM states in the order the
+// walk first asks for them, and the walk counts the TM states as of the
+// last expansion it took, so ids, sizes, the frontier peak and the point
+// where a budget trips are the same at every worker count.
 func searchProduct(alg tm.Algorithm, cm tm.ContentionManager, prop spec.Property, workers int, g *guard.Guard, name string) (Result, error) {
-	tms := explore.NewLazy(alg, cm)
-	defer tms.Wait()
+	tms := explore.NewLazyWorkers(alg, cm, workers)
+	defer tms.Close()
 	lz := spec.NewLazy(spec.NewDet(prop, alg.Threads(), alg.Vars()))
 	w := automata.Walk{A: tms, D: lz, Guard: g, Name: name}
-	if workers > 1 {
-		w.Ahead = func(states []int32) { tms.Prefetch(states, workers) }
-	}
 	r, err := w.Run()
 	if err != nil {
 		return Result{}, err

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tmcheck/internal/chaos"
 	"tmcheck/internal/core"
@@ -150,21 +151,122 @@ func TestTable2ResilientIsolatesPanicTM(t *testing.T) {
 	}
 }
 
-// TestOnTheFlyHelperPanicIsolated fires the injected worker panic in a
-// prefetch helper of a two-worker on-the-fly check — tl2 ss, which holds,
-// so the search reaches every chunk its helpers expand: the check must
-// stop with an isolated panic carrying the injected error, and no
-// helper may outlive VerifyOpts.
+// pipelineGoroutines returns the stacks of the on-the-fly product's
+// stage and helper goroutines (explore.NewLazyWorkers) that are still
+// running.
+func pipelineGoroutines() string {
+	buf := make([]byte, 1<<20)
+	var found []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "explore.(*Lazy).run") || strings.Contains(g, "explore.(*stage).expandChunk") {
+			found = append(found, g)
+		}
+	}
+	return strings.Join(found, "\n\n")
+}
+
+// checkNoPipeline fails the test when a stage or helper goroutine
+// outlived the check. A goroutine that has signalled its exit may
+// still be unwinding, so it polls for up to a second.
+func checkNoPipeline(t *testing.T, label string) {
+	t.Helper()
+	for i := 0; ; i++ {
+		stacks := pipelineGoroutines()
+		if stacks == "" {
+			return
+		}
+		if i == 1000 {
+			t.Errorf("%s: the TM stage outlived VerifyOpts:\n%s", label, stacks)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOnTheFlyPipelineStops runs on-the-fly checks whose TM stage runs
+// on its own goroutine — products that pack, with the helper, and
+// tm.Opaque ones, without — at 2 and 4 workers down every return path
+// of VerifyOpts: a SAFE fixpoint, an UNSAFE early stop, a MaxStates
+// trip, a cancelled context and the injected worker panic in the
+// helper. No stage or helper goroutine may outlive the check.
+func TestOnTheFlyPipelineStops(t *testing.T) {
+	polite, err := tm.NewContentionManager("polite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opaque := range []bool{false, true} {
+		wrap := func(alg tm.Algorithm) tm.Algorithm { return alg }
+		if opaque {
+			wrap = tm.Opaque
+		}
+		// tl2 ss (2,2) holds and is large enough for the helper to run;
+		// a boxed product has no helper, so the smaller dstm op stands
+		// in for it there.
+		safe, prop := wrap(tm.NewTL2(2, 2)), spec.StrictSerializability
+		if opaque {
+			safe, prop = wrap(tm.NewDSTM(2, 2)), spec.Opacity
+		}
+		unsafe := wrap(tm.NewTL2Mod(2, 2))
+		cases := []struct {
+			path string
+			alg  tm.Algorithm
+			cm   tm.ContentionManager
+			prop spec.Property
+			opts Options
+			fire bool
+		}{
+			{"safe", safe, nil, prop, Options{}, false},
+			{"unsafe", unsafe, polite, spec.StrictSerializability, Options{}, false},
+			{"budget", safe, nil, prop, Options{MaxStates: 5000}, false},
+			{"cancelled", safe, nil, prop, Options{Ctx: cancelled}, false},
+			{"helper panic", safe, nil, prop, Options{}, true},
+		}
+		for _, workers := range []int{2, 4} {
+			for _, c := range cases {
+				label := fmt.Sprintf("%s %s w=%d", explore.System{Alg: c.alg, CM: c.cm}.Name(), c.path, workers)
+				if opaque {
+					label = "opaque " + label
+				}
+				if c.fire {
+					plan := chaos.Manual()
+					plan.Arm(chaos.SiteWorkerPanic, 1)
+					chaos.Install(plan)
+				}
+				opts := c.opts
+				opts.Workers, opts.Engine = workers, EngineOnTheFly
+				res, err := VerifyOpts(c.alg, c.cm, c.prop, opts)
+				if c.fire {
+					chaos.Uninstall()
+				}
+				checkNoPipeline(t, label)
+				switch {
+				case c.path == "safe" && (err != nil || !res.Holds),
+					c.path == "unsafe" && (err != nil || res.Holds),
+					c.path == "budget" && !errors.Is(err, guard.ErrStates),
+					c.path == "cancelled" && !errors.Is(err, guard.ErrCancelled),
+					c.path == "helper panic" && !opaque && !errors.Is(err, guard.ErrPanic),
+					c.path == "helper panic" && opaque && (err != nil || !res.Holds):
+					t.Errorf("%s: holds %v, err %v", label, res.Holds, err)
+				}
+			}
+		}
+	}
+}
+
+// TestOnTheFlyHelperPanicIsolated fires the injected worker panic in
+// the TM stage's helper of a two-worker on-the-fly check — tl2 ss,
+// which holds, so the walk takes every expansion the helper makes: the
+// check must stop with an isolated panic carrying the injected error,
+// and neither the stage nor its helper may outlive VerifyOpts.
 func TestOnTheFlyHelperPanicIsolated(t *testing.T) {
 	plan := chaos.Manual()
 	plan.Arm(chaos.SiteWorkerPanic, 1)
 	chaos.Install(plan)
 	_, err := VerifyOpts(tm.NewTL2(2, 2), nil, spec.StrictSerializability, Options{Workers: 2, Engine: EngineOnTheFly})
 	chaos.Uninstall()
-	buf := make([]byte, 1<<20)
-	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Lazy).expandAhead") {
-		t.Errorf("a prefetch helper outlived VerifyOpts:\n%s", stacks)
-	}
+	checkNoPipeline(t, "tl2 ss w=2")
 	var le *guard.LimitError
 	if !errors.Is(err, guard.ErrPanic) || !errors.As(err, &le) {
 		t.Fatalf("err = %v, want an isolated panic", err)
